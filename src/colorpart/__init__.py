@@ -22,7 +22,6 @@ from .asymptotic import (
 from .exact import (
     ExactSeries,
     Method,
-    PartitionTable,
     g_series_divisor,
     g_series_euler,
     g_via_tuple_convolution,
@@ -65,7 +64,6 @@ __all__ = [
     "ExactSeries",
     "ExponentFit",
     "Method",
-    "PartitionTable",
     "QuadFormSpec",
     "RegionSplitReport",
     "comparison_table",

@@ -6,23 +6,7 @@ class ColorpartError(Exception):
 
 
 class SpecError(ColorpartError, ValueError):
-    """A raw (s, l) pair violates a validity invariant."""
-
-
-class EmptySpec(SpecError):
-    pass
-
-
-class NonIncreasingModuli(SpecError):
-    pass
-
-
-class FirstModulusNotOne(SpecError):
-    pass
-
-
-class NonPositiveMultiplicity(SpecError):
-    pass
+    """Spec text or JSON is malformed, or the (s, l) pair violates an invariant."""
 
 
 class WindowUndefined(ColorpartError):
@@ -30,11 +14,7 @@ class WindowUndefined(ColorpartError):
 
 
 class TooLarge(ColorpartError):
-    """Estimated work for a tuple enumeration exceeds the configured budget."""
-
-
-class BudgetExceeded(TooLarge):
-    """Region-split enumeration would exceed the configured budget."""
+    """Estimated work for a fold or tuple enumeration exceeds the configured budget."""
 
 
 class EtaOutOfWindow(ColorpartError, ValueError):

@@ -9,7 +9,8 @@ Three independent routes to the same integers:
   over constrained tuples, folded one color at a time.
 
 Each serves as an oracle for the others; the test suite enforces three-way
-agreement.  Plain p(n) comes from the pentagonal-number recurrence.
+agreement.  Plain p(n), the s=1;l=1 series, comes from the pentagonal-number
+recurrence.
 """
 
 from __future__ import annotations
@@ -20,26 +21,14 @@ import json
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .specs import ColoredSpec
+from .specs import ColoredSpec, validate
 
 
 class Method(enum.Enum):
     DIVISOR_RECURRENCE = "divisor"
     EULER_PRODUCT = "euler"
     TUPLE_CONVOLUTION = "convolution"
-
-
-@dataclass(frozen=True)
-class PartitionTable:
-    """Exact p(0..N)."""
-
-    coeffs: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    def __getitem__(self, n: int) -> int:
-        return self.coeffs[n]
+    PENTAGONAL = "pentagonal"
 
 
 @dataclass(frozen=True)
@@ -61,8 +50,8 @@ class ExactSeries:
         return self.coeffs[n]
 
 
-def partition_table(n_max: int) -> PartitionTable:
-    """p(0..n_max) via Euler's pentagonal-number recurrence."""
+def partition_table(n_max: int) -> ExactSeries:
+    """p(0..n_max), the s=1;l=1 series, via Euler's pentagonal-number recurrence."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     p = [0] * (n_max + 1)
@@ -81,7 +70,7 @@ def partition_table(n_max: int) -> PartitionTable:
                 total += sign * p[n - pent2]
             k += 1
         p[n] = total
-    return PartitionTable(tuple(p))
+    return ExactSeries(spec=validate([1], [1]), coeffs=tuple(p), method=Method.PENTAGONAL)
 
 
 def _sigma1_table(n_max: int) -> list[int]:
@@ -156,7 +145,7 @@ DEFAULT_FOLD_BUDGET = 10**9
 def g_via_tuple_convolution(
     spec: ColoredSpec,
     n: int,
-    ptable: PartitionTable,
+    ptable: ExactSeries,
     budget: int = DEFAULT_FOLD_BUDGET,
 ) -> int:
     """g(n) as the sum over constrained tuples of products of p-values.

@@ -49,6 +49,28 @@ def det_closed_form(q: QuadFormSpec) -> float:
     return prod * sum(1.0 / a for a in coeffs)
 
 
+def random_form(rng: np.random.Generator, k: int, low: float, high: float) -> QuadFormSpec:
+    """A k-dimensional form with a0, then a1..ak, drawn uniformly from [low, high)."""
+    return QuadFormSpec(
+        a0=float(rng.uniform(low, high)),
+        a_rest=tuple(float(x) for x in rng.uniform(low, high, size=k)),
+    )
+
+
+def det_trials(trials: int, k_max: int, seed: int) -> list[tuple[int, float, float]]:
+    """(k, closed form, elimination) determinants of seeded random forms.
+
+    Each trial draws k uniformly from 1..k_max, then coefficients from
+    [0.1, 10); the ``quadform`` command and the acceptance battery share it.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        q = random_form(rng, int(rng.integers(1, k_max + 1)), 0.1, 10)
+        out.append((q.k, det_closed_form(q), float(np.linalg.det(q.matrix()))))
+    return out
+
+
 def gaussian_quadform_integral(q: QuadFormSpec) -> float:
     """Full-space integral of exp(-quadform): pi**(k/2) / sqrt(det)."""
     return math.pi ** (q.k / 2) / math.sqrt(det_closed_form(q))

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import BudgetExceeded, WindowUndefined
-from .exact import PartitionTable
+from .errors import TooLarge, WindowUndefined
+from .exact import ExactSeries
 from .precision import working_precision
 from .specs import AsymptoticConstants, ColoredSpec, require_eta
 
@@ -72,7 +72,7 @@ def region_split(
     spec: ColoredSpec,
     n: int,
     eta,
-    ptable: PartitionTable,
+    ptable: ExactSeries,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> RegionSplitReport:
     """Exactly split the tuple sum for g(n) at box-width exponent eta.
@@ -101,7 +101,7 @@ def region_split(
     for si, _ in free:
         est *= n // si + 1
     if est > budget:
-        raise BudgetExceeded(f"estimated {est} tuples exceeds budget {budget}")
+        raise TooLarge(f"estimated {est} tuples exceeds budget {budget}")
 
     # The box test compares an integer distance against the irrational v**eta;
     # 192 bits leaves the strict inequality unambiguous for any reachable n.

@@ -1,14 +1,17 @@
-"""Programmatic acceptance battery behind the ``selftest`` CLI subcommand.
+"""The acceptance battery: one check per claim the package reproduces.
 
-Each check returns (name, passed, detail); the CLI renders them as TAP.
-The pytest suite covers the same ground with finer-grained assertions; this
-module exists so a deployed install can verify itself without pytest.
+Each check returns (name, passed, detail).  ``colorpart selftest`` renders
+them as TAP, and ``tests/test_acceptance.py`` runs each one under a time
+bound, so the CLI and the pytest gate check the same criteria at the same
+settings.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import random
-from typing import Callable
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -16,23 +19,31 @@ import numpy as np
 from . import asymptotic, exact, quadform, regions, specs
 from .precision import working_precision
 
+ANCHOR_N = 8192
+CLASSICAL = specs.validate([1], [1])
+REMARK = specs.validate([1, 3], [2, 2])
 
-def _random_spec(rng: random.Random) -> specs.ColoredSpec:
+
+@functools.lru_cache(maxsize=None)
+def anchor_series(spec: specs.ColoredSpec) -> exact.ExactSeries:
+    """g(0..ANCHOR_N) by the divisor recurrence, built once per spec and process."""
+    return exact.g_series_divisor(spec, ANCHOR_N)
+
+
+def random_spec(rng: random.Random) -> specs.ColoredSpec:
+    """A spec with k <= 3 strictly increasing moduli in 1..7 and l_i in 1..3."""
     k = rng.randint(1, 3)
     s = [1]
-    while len(s) < k:
-        cand = rng.randint(2, 7)
-        if cand > s[-1]:
-            s.append(cand)
-    l = [rng.randint(1, 3) for _ in s]
-    return specs.validate(s, l)
+    while len(s) < k and s[-1] < 7:
+        s.append(rng.randint(s[-1] + 1, 7))
+    return specs.validate(s, [rng.randint(1, 3) for _ in s])
 
 
-def check_triple_agreement(seed: int = 0, n_max: int = 100) -> tuple[str, bool, str]:
+def check_triple_agreement(seed: int = 2024, n_max: int = 100) -> tuple[str, bool, str]:
     rng = random.Random(seed)
     ptable = exact.partition_table(n_max)
     for _ in range(5):
-        spec = _random_spec(rng)
+        spec = random_spec(rng)
         div = exact.g_series_divisor(spec, n_max)
         eul = exact.g_series_euler(spec, n_max)
         if div.coeffs != eul.coeffs:
@@ -40,12 +51,11 @@ def check_triple_agreement(seed: int = 0, n_max: int = 100) -> tuple[str, bool, 
         for n in range(n_max + 1):
             if exact.g_via_tuple_convolution(spec, n, ptable) != div[n]:
                 return ("triple agreement", False, f"convolution mismatch for {spec} at n={n}")
-    return ("triple agreement", True, "5 random specs, n <= 100, 3 methods")
+    return ("triple agreement", True, f"5 random specs (seed {seed}), n <= {n_max}, 3 methods")
 
 
 def check_classical_reduction(n_max: int = 2000) -> tuple[str, bool, str]:
-    spec = specs.validate([1], [1])
-    series = exact.g_series_divisor(spec, n_max)
+    series = exact.g_series_divisor(CLASSICAL, n_max)
     ptable = exact.partition_table(n_max)
     if series.coeffs != ptable.coeffs:
         return ("classical reduction", False, "series differs from pentagonal table")
@@ -54,82 +64,75 @@ def check_classical_reduction(n_max: int = 2000) -> tuple[str, bool, str]:
     for part in range(1, n_max + 1):
         for n in range(part, n_max + 1):
             dp[n] += dp[n - part]
-    if dp[n_max] != ptable[n_max]:
-        return ("classical reduction", False, f"DP oracle disagrees at n={n_max}")
+    if tuple(dp) != ptable.coeffs:
+        return ("classical reduction", False, "DP oracle disagrees with pentagonal table")
     return ("classical reduction", True, f"p(0..{n_max}) matches, DP oracle agrees")
 
 
 def check_closed_form_constants() -> tuple[str, bool, str]:
-    with working_precision(192):
+    # exp_coeff is compared absolutely: both values exceed 1, so this is
+    # tighter than the relative tolerance used for c.
+    with working_precision(256):
         tol = mpmath.mpf(10) ** -30
-        cp = specs.constants(specs.validate([1], [1]), prec=192)
-        ok = abs(cp.c - 1 / (4 * mpmath.sqrt(3))) < tol * cp.c
-        ok &= abs(cp.exp_coeff - mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)) < tol
-        cc = specs.constants(specs.validate([1, 3], [2, 2]), prec=192)
-        ok &= abs(cc.c - 1 / (3 * mpmath.sqrt(6))) < tol * cc.c
-        ok &= cc.d == mpmath.mpf(-7) / 4
-        ok &= abs(cc.exp_coeff - 4 * mpmath.pi / 3) < tol
-    return ("closed-form constants", bool(ok), "classical and 4-colored anchors to 30 digits")
+        cp = specs.constants(CLASSICAL, prec=256)
+        cc = specs.constants(REMARK, prec=256)
+        ok = (
+            cp.d == -1
+            and cc.d == Fraction(-7, 4)
+            and abs(cp.c - 1 / (4 * mpmath.sqrt(3))) < tol * cp.c
+            and abs(cc.c - 1 / (3 * mpmath.sqrt(6))) < tol * cc.c
+            and abs(cp.exp_coeff - mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)) < tol
+            and abs(cc.exp_coeff - 4 * mpmath.pi / 3) < tol
+        )
+    return ("closed-form constants", bool(ok),
+            "classical and 4-colored anchors to 30 digits at 256 bits")
 
 
-def _anchor_rows(spec, n_max=8192):
-    series = exact.g_series_divisor(spec, n_max)
-    ns = asymptotic.geometric_grid(256, n_max)
-    return asymptotic.comparison_table(spec, ns, series=series)
+def _anchor_rows(spec, ns):
+    return asymptotic.comparison_table(spec, ns, series=anchor_series(spec))
 
 
 def check_error_exponent() -> tuple[str, bool, str]:
-    rows_p = _anchor_rows(specs.validate([1], [1]))
-    fit_p = asymptotic.fit_error_exponent(rows_p)
-    rows_c = _anchor_rows(specs.validate([1, 3], [2, 2]))
-    fit_c = asymptotic.fit_error_exponent(rows_c)
+    ns = asymptotic.geometric_grid(256, ANCHOR_N)
+    fit_p = asymptotic.fit_error_exponent(_anchor_rows(CLASSICAL, ns))
+    fit_c = asymptotic.fit_error_exponent(_anchor_rows(REMARK, ns))
+    # One-sided for the 4-colored spec: the true decay exponent is at most
+    # -1/4 + eps; the finite-n threshold -0.15 was frozen from a pre-build
+    # run (observed slope about -0.48).
     ok = -0.65 <= fit_p.slope <= -0.35 and fit_c.slope <= -0.15
-    decay = all(
-        abs(rows[2].rel_err) < abs(rows[1].rel_err) < abs(rows[0].rel_err)
-        for rows in (
-            [r for r in rows_p if r.n in (256, 1024, 4096)],
-            [r for r in rows_c if r.n in (256, 1024, 4096)],
-        )
-    )
-    return (
-        "error exponent and decay",
-        ok and decay,
-        f"slopes {fit_p.slope:.3f} / {fit_c.slope:.3f}, decay={decay}",
-    )
+    return ("error exponent", ok, f"slopes {fit_p.slope:.3f} / {fit_c.slope:.3f}")
+
+
+def check_error_decay() -> tuple[str, bool, str]:
+    ok = True
+    for spec in (CLASSICAL, REMARK):
+        rows = _anchor_rows(spec, [256, 1024, 4096])
+        ok &= abs(rows[2].rel_err) < abs(rows[1].rel_err) < abs(rows[0].rel_err)
+    return ("relative error decay", ok, "|rel_err| falls over n = 256, 1024, 4096")
 
 
 def check_determinant(trials: int = 1000, k_max: int = 8, seed: int = 0) -> tuple[str, bool, str]:
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        k = int(rng.integers(1, k_max + 1))
-        q = quadform.QuadFormSpec(
-            a0=float(rng.uniform(0.1, 10)),
-            a_rest=tuple(float(x) for x in rng.uniform(0.1, 10, size=k)),
-        )
-        closed = quadform.det_closed_form(q)
-        elim = float(np.linalg.det(q.matrix()))
-        worst = max(worst, abs(closed - elim) / abs(elim))
-    return ("determinant identity", worst < 1e-9, f"{trials} trials, worst rel err {worst:.2e}")
+    rows = quadform.det_trials(trials, k_max, seed)
+    ok = all(abs(closed - elim) <= 1e-9 * abs(elim) for _, closed, elim in rows)
+    worst = max(abs(closed - elim) / abs(elim) for _, closed, elim in rows)
+    return ("determinant identity", ok, f"{trials} trials, worst rel err {worst:.2e}")
 
 
-def check_gaussian_integrals(seed: int = 0) -> tuple[str, bool, str]:
-    q1 = quadform.QuadFormSpec(1.0, (1.0,))
-    q2 = quadform.QuadFormSpec(1.0, (1.0, 1.0))
-    ok = abs(quadform.gaussian_quadform_integral(q1)
-             - quadform.gaussian_integral_quadrature(q1)) < 1e-6
-    ok &= abs(quadform.gaussian_quadform_integral(q2)
-              - quadform.gaussian_integral_quadrature(q2)) < 1e-6
-    rng = np.random.default_rng(seed)
-    q3 = quadform.QuadFormSpec(
-        a0=float(rng.uniform(0.5, 3)),
-        a_rest=tuple(float(x) for x in rng.uniform(0.5, 3, size=3)),
+def check_gaussian_integrals() -> tuple[str, bool, str]:
+    rng = np.random.default_rng(7)
+    fixed = [quadform.QuadFormSpec(1.0, (1.0,)), quadform.QuadFormSpec(1.0, (1.0, 1.0))]
+    drawn = [quadform.random_form(rng, k, 0.5, 3) for k in (1, 2)]
+    ok = all(
+        abs(quadform.gaussian_quadform_integral(q) - quadform.gaussian_integral_quadrature(q))
+        < 1e-6
+        for q in fixed + drawn
     )
-    est, se = quadform.gaussian_integral_monte_carlo(q3, seed=seed)
+    q3 = quadform.random_form(rng, 3, 0.5, 3)
+    est, se = quadform.gaussian_integral_monte_carlo(q3, samples=10**7, seed=0)
     closed = quadform.gaussian_quadform_integral(q3)
     ok &= abs(est - closed) < 3 * se
     return ("gaussian quadform integrals", bool(ok),
-            f"k<=2 quadrature, k=3 MC |{est:.6f} - {closed:.6f}| < 3*{se:.2e}")
+            f"4 forms k<=2 quadrature, k=3 MC |{est:.6f} - {closed:.6f}| < 3*{se:.2e}")
 
 
 def check_region_decomposition() -> tuple[str, bool, str]:
@@ -138,8 +141,8 @@ def check_region_decomposition() -> tuple[str, bool, str]:
     series = exact.g_series_divisor(spec, 400)
     fracs = []
     for n in (100, 200, 400):
-        rep = regions.region_split(spec, n, "4/5", ptable)
-        if rep.total != series[n]:
+        rep = regions.region_split(spec, n, Fraction(4, 5), ptable)
+        if rep.main_sum + rep.tail_sum != series[n]:
             return ("region decomposition", False, f"conservation fails at n={n}")
         fracs.append(rep.tail_fraction())
     ok = fracs[0] > fracs[1] > fracs[2]
@@ -148,16 +151,14 @@ def check_region_decomposition() -> tuple[str, bool, str]:
 
 
 def check_sum_vs_integral() -> tuple[str, bool, str]:
-    import math
-
     c1 = math.pi * math.sqrt(2 / 3)
-    cases: list[tuple[Callable[[float], float], float, float, int]] = [
+    cases = [
         (lambda x: 1.0, 0.0, 10.0, 0),
         (lambda x: math.exp(c1 * math.sqrt(x)), 1.0, 500.0, 0),
         (lambda x: math.exp(c1 * (math.sqrt(x) + math.sqrt(100 - x))), 1.0, 99.0, 1),
     ]
-    rng = random.Random(0)
-    while len(cases) < 100:
+    rng = random.Random(9)
+    for _ in range(98):
         a = rng.uniform(0.1, 2.0)
         b = rng.uniform(5.0, 80.0)
         kind = rng.randrange(3)
@@ -168,7 +169,9 @@ def check_sum_vs_integral() -> tuple[str, bool, str]:
         else:
             cases.append((lambda x, a=a: a * x + 1.0, 0.0, b, 0))
     for f, lo, hi, m in cases:
-        quadform.sum_vs_integral(f, lo, hi, m)  # raises on violation
+        total, integral, bound = quadform.sum_vs_integral(f, lo, hi, m)
+        if not abs(total - integral) <= bound:
+            return ("sum vs integral bound", False, f"bound fails on [{lo}, {hi}]")
     return ("sum vs integral bound", True, f"{len(cases)} functions, bound 2*(m+1)*max|f|")
 
 
@@ -177,6 +180,7 @@ ALL_CHECKS = [
     check_classical_reduction,
     check_closed_form_constants,
     check_error_exponent,
+    check_error_decay,
     check_determinant,
     check_gaussian_integrals,
     check_region_decomposition,

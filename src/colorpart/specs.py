@@ -14,14 +14,7 @@ from typing import Iterator
 
 import mpmath
 
-from .errors import (
-    EmptySpec,
-    EtaOutOfWindow,
-    FirstModulusNotOne,
-    NonIncreasingModuli,
-    NonPositiveMultiplicity,
-    WindowUndefined,
-)
+from .errors import EtaOutOfWindow, SpecError, WindowUndefined
 from .precision import default_bits, working_precision
 
 ETA_LOWER = Fraction(3, 4)
@@ -73,15 +66,15 @@ def validate(s, l) -> ColoredSpec:
     s = tuple(int(x) for x in s)
     l = tuple(int(x) for x in l)
     if len(s) == 0 or len(l) == 0:
-        raise EmptySpec("spec needs at least one (modulus, multiplicity) pair")
+        raise SpecError("spec needs at least one (modulus, multiplicity) pair")
     if len(s) != len(l):
-        raise EmptySpec(f"moduli and multiplicities differ in length: {len(s)} vs {len(l)}")
+        raise SpecError(f"moduli and multiplicities differ in length: {len(s)} vs {len(l)}")
     if s[0] != 1:
-        raise FirstModulusNotOne(f"first modulus must be 1, got {s[0]}")
+        raise SpecError(f"first modulus must be 1, got {s[0]}")
     if any(a >= b for a, b in zip(s, s[1:])):
-        raise NonIncreasingModuli(f"moduli must be strictly increasing: {s}")
+        raise SpecError(f"moduli must be strictly increasing: {s}")
     if any(li < 1 for li in l):
-        raise NonPositiveMultiplicity(f"all multiplicities must be >= 1: {l}")
+        raise SpecError(f"all multiplicities must be >= 1: {l}")
     return ColoredSpec(s, l)
 
 
@@ -90,11 +83,11 @@ def parse_text(text: str) -> ColoredSpec:
     fields = {}
     for chunk in text.strip().split(";"):
         if "=" not in chunk:
-            raise EmptySpec(f"malformed spec text {text!r}")
+            raise SpecError(f"malformed spec text {text!r}")
         key, _, val = chunk.partition("=")
         fields[key.strip()] = [int(x) for x in val.split(",") if x.strip()]
     if set(fields) != {"s", "l"}:
-        raise EmptySpec(f"spec text must define exactly s and l, got {sorted(fields)}")
+        raise SpecError(f"spec text must define exactly s and l, got {sorted(fields)}")
     return validate(fields["s"], fields["l"])
 
 
@@ -103,9 +96,13 @@ def parse_json(text: str) -> ColoredSpec:
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise EmptySpec(f"invalid spec JSON: {exc}") from exc
+        raise SpecError(f"invalid spec JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"s", "l"}:
-        raise EmptySpec("spec JSON must be an object with keys 's' and 'l'")
+        raise SpecError("spec JSON must be an object with keys 's' and 'l'")
+    for key in ("s", "l"):
+        # json.loads yields bools and floats too; int() would quietly coerce them.
+        if not isinstance(obj[key], list) or any(type(x) is not int for x in obj[key]):
+            raise SpecError(f"spec JSON {key!r} must be a list of integers, got {obj[key]!r}")
     return validate(obj["s"], obj["l"])
 
 

@@ -1,8 +1,7 @@
 import pytest
 
 import colorpart as cp
-
-N_DEEP = 8192
+from colorpart import selftest
 
 
 @pytest.fixture(scope="session")
@@ -22,10 +21,5 @@ def ptable_2000():
 
 @pytest.fixture(scope="session")
 def classical_series_deep(classical_spec):
-    """Classical series to n=8192; shared because the O(N^2) build costs seconds."""
-    return cp.g_series_divisor(classical_spec, N_DEEP)
-
-
-@pytest.fixture(scope="session")
-def remark_series_deep(remark_spec):
-    return cp.g_series_divisor(remark_spec, N_DEEP)
+    """Classical series to n=8192, from the acceptance battery's cached builder."""
+    return selftest.anchor_series(classical_spec)

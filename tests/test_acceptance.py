@@ -1,195 +1,39 @@
-"""Acceptance gate: one test per criterion, each printing a pass/fail line.
+"""Acceptance gate: each check of ``colorpart.selftest.ALL_CHECKS`` under a time bound.
 
-Run with  pytest tests/test_acceptance.py -v -s  to see the per-criterion
-report.  The deep series fixtures (n = 8192) are session-scoped, so their
-multi-second build cost is paid once.
+The criteria live only in ``selftest``; this file names one test per check
+and bounds its wall time.  Run with  pytest tests/test_acceptance.py -v -s
+to see the per-criterion report.
 """
 
-import math
-import random
 import time
-from fractions import Fraction
 
-import mpmath
-import numpy as np
-import pytest
-
-import colorpart as cp
-
-C1 = math.pi * math.sqrt(2 / 3)
+from colorpart import selftest
 
 
-def report(label, elapsed, detail=""):
-    print(f"PASS: {label} ({elapsed:.2f}s) {detail}")
+def gate(check, bound_s=None):
+    def test():
+        start = time.monotonic()
+        name, ok, detail = check()
+        elapsed = time.monotonic() - start
+        print(f"{'PASS' if ok else 'FAIL'}: {name} ({elapsed:.2f}s) {detail}")
+        assert ok, detail
+        assert bound_s is None or elapsed < bound_s, f"{elapsed:.2f}s exceeds {bound_s}s"
+
+    test.check = check
+    return test
 
 
-def test_criterion_1_oracle_triple_agreement():
-    start = time.monotonic()
-    rng = random.Random(2024)
-    ptable = cp.partition_table(100)
-    for _ in range(5):
-        k = rng.randint(1, 3)
-        s = [1]
-        while len(s) < k and s[-1] < 7:
-            s.append(rng.randint(s[-1] + 1, 7))
-        spec = cp.validate(s, [rng.randint(1, 3) for _ in s])
-        div = cp.g_series_divisor(spec, 100)
-        eul = cp.g_series_euler(spec, 100)
-        assert div.coeffs == eul.coeffs, spec
-        for n in range(101):
-            assert cp.g_via_tuple_convolution(spec, n, ptable) == div[n], (spec, n)
-    elapsed = time.monotonic() - start
-    assert elapsed < 10
-    report("criterion 1: three-way oracle agreement", elapsed, "5 specs, n <= 100")
+test_criterion_1_oracle_triple_agreement = gate(selftest.check_triple_agreement, 10)
+test_criterion_2_classical_reduction = gate(selftest.check_classical_reduction, 30)
+test_criterion_3_closed_form_constants = gate(selftest.check_closed_form_constants)
+test_criterion_4_error_exponents = gate(selftest.check_error_exponent)
+test_criterion_5_relative_error_decay = gate(selftest.check_error_decay)
+test_criterion_6_determinant_identity = gate(selftest.check_determinant, 1)
+test_criterion_7_gaussian_quadform_integral = gate(selftest.check_gaussian_integrals, 30)
+test_criterion_8_region_decomposition = gate(selftest.check_region_decomposition, 10)
+test_criterion_9_sum_to_integral_bound = gate(selftest.check_sum_vs_integral, 5)
 
 
-def test_criterion_2_classical_reduction(classical_spec, ptable_2000):
-    start = time.monotonic()
-    series = cp.g_series_divisor(classical_spec, 2000)
-    assert series.coeffs == ptable_2000.coeffs
-    # Independent parts-bounded DP oracle
-    dp = [1] + [0] * 2000
-    for part in range(1, 2001):
-        for n in range(part, 2001):
-            dp[n] += dp[n - part]
-    assert dp[2000] == ptable_2000[2000]
-    elapsed = time.monotonic() - start
-    assert elapsed < 30
-    report("criterion 2: classical reduction to p(n)", elapsed, "n <= 2000 + DP oracle")
-
-
-def test_criterion_3_closed_form_constants(classical_spec, remark_spec):
-    start = time.monotonic()
-    with mpmath.workprec(256):
-        tol = mpmath.mpf(10) ** -30
-
-        cp_consts = cp.constants(classical_spec, prec=256)
-        assert abs(cp_consts.c - 1 / (4 * mpmath.sqrt(3))) < tol * cp_consts.c
-        assert cp_consts.d == -1
-        expected = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)
-        assert abs(cp_consts.exp_coeff - expected) < tol * expected
-
-        cc = cp.constants(remark_spec, prec=256)
-        assert abs(cc.c - 1 / (3 * mpmath.sqrt(6))) < tol * cc.c
-        assert cc.d == Fraction(-7, 4)
-        assert abs(cc.exp_coeff - 4 * mpmath.pi / 3) < tol * cc.exp_coeff
-    elapsed = time.monotonic() - start
-    report("criterion 3: closed-form constants", elapsed, "30 significant digits")
-
-
-def test_criterion_4_error_exponents(
-    classical_spec, remark_spec, classical_series_deep, remark_series_deep
-):
-    start = time.monotonic()
-    ns = cp.geometric_grid(256, 8192)
-    fit_p = cp.fit_error_exponent(
-        cp.comparison_table(classical_spec, ns, series=classical_series_deep)
-    )
-    assert -0.65 <= fit_p.slope <= -0.35
-    fit_c = cp.fit_error_exponent(
-        cp.comparison_table(remark_spec, ns, series=remark_series_deep)
-    )
-    # One-sided: the true decay exponent is at most -1/4 + eps; the
-    # finite-n threshold -0.15 was frozen from a pre-build run (observed
-    # slope about -0.48).
-    assert fit_c.slope <= -0.15
-    elapsed = time.monotonic() - start
-    report("criterion 4: fitted error exponents", elapsed,
-           f"slopes {fit_p.slope:.3f}, {fit_c.slope:.3f}")
-
-
-def test_criterion_5_relative_error_decay(
-    classical_spec, remark_spec, classical_series_deep, remark_series_deep
-):
-    start = time.monotonic()
-    for spec, series in [
-        (classical_spec, classical_series_deep),
-        (remark_spec, remark_series_deep),
-    ]:
-        rows = cp.comparison_table(spec, [256, 1024, 4096], series=series)
-        assert abs(rows[2].rel_err) < abs(rows[1].rel_err) < abs(rows[0].rel_err)
-    elapsed = time.monotonic() - start
-    report("criterion 5: |rel_err| decay", elapsed, "n in {256, 1024, 4096}")
-
-
-def test_criterion_6_determinant_identity():
-    start = time.monotonic()
-    rng = np.random.default_rng(6)
-    for _ in range(1000):
-        k = int(rng.integers(1, 9))
-        q = cp.QuadFormSpec(
-            a0=float(rng.uniform(0.1, 10)),
-            a_rest=tuple(float(x) for x in rng.uniform(0.1, 10, size=k)),
-        )
-        closed = cp.det_closed_form(q)
-        elim = float(np.linalg.det(q.matrix()))
-        assert abs(closed - elim) <= 1e-9 * abs(elim)
-    elapsed = time.monotonic() - start
-    assert elapsed < 1
-    report("criterion 6: determinant closed form", elapsed, "1000 instances, k <= 8")
-
-
-def test_criterion_7_gaussian_quadform_integral():
-    start = time.monotonic()
-    rng = np.random.default_rng(7)
-    for k in (1, 2):
-        q = cp.QuadFormSpec(
-            a0=float(rng.uniform(0.5, 3)),
-            a_rest=tuple(float(x) for x in rng.uniform(0.5, 3, size=k)),
-        )
-        closed = cp.gaussian_quadform_integral(q)
-        quad = cp.gaussian_integral_quadrature(q)
-        assert abs(closed - quad) < 1e-6
-    q3 = cp.QuadFormSpec(
-        a0=float(rng.uniform(0.5, 3)),
-        a_rest=tuple(float(x) for x in rng.uniform(0.5, 3, size=3)),
-    )
-    est, se = cp.gaussian_integral_monte_carlo(q3, samples=10**7, seed=0)
-    closed3 = cp.gaussian_quadform_integral(q3)
-    assert abs(est - closed3) < 3 * se
-    elapsed = time.monotonic() - start
-    assert elapsed < 30
-    report("criterion 7: Gaussian quadform integrals", elapsed,
-           f"MC |{est:.6f} - {closed3:.6f}| < 3*{se:.1e}")
-
-
-def test_criterion_8_region_decomposition():
-    start = time.monotonic()
-    spec = cp.validate([1], [2])
-    ptable = cp.partition_table(400)
-    series = cp.g_series_divisor(spec, 400)
-    fracs = []
-    for n in (100, 200, 400):
-        rep = cp.region_split(spec, n, Fraction(4, 5), ptable)
-        assert rep.main_sum + rep.tail_sum == series[n]
-        fracs.append(rep.tail_fraction())
-    assert fracs[0] > fracs[1] > fracs[2]
-    elapsed = time.monotonic() - start
-    assert elapsed < 10
-    report("criterion 8: region decomposition", elapsed,
-           "tail fractions " + " > ".join(mpmath.nstr(f, 5) for f in fracs))
-
-
-def test_criterion_9_sum_to_integral_bound():
-    start = time.monotonic()
-    cases = [
-        (lambda x: math.exp(C1 * math.sqrt(x)), 1.0, 500.0, 0),
-        (lambda x: math.exp(C1 * (math.sqrt(x) + math.sqrt(100 - x))), 1.0, 99.0, 1),
-    ]
-    rng = random.Random(9)
-    while len(cases) < 100:
-        a = rng.uniform(0.1, 2.0)
-        b = rng.uniform(5.0, 80.0)
-        kind = rng.randrange(3)
-        if kind == 0:
-            cases.append((lambda x, a=a: math.exp(a * math.sqrt(x)), 1.0, b, 0))
-        elif kind == 1:
-            cases.append((lambda x, a=a, b=b: math.exp(-a * (x - b / 2) ** 2), 0.0, b, 1))
-        else:
-            cases.append((lambda x, a=a: a * x + 1.0, 0.0, b, 0))
-    for f, lo, hi, m in cases:
-        s, integral, bound = cp.sum_vs_integral(f, lo, hi, m)
-        assert abs(s - integral) <= bound
-    elapsed = time.monotonic() - start
-    assert elapsed < 5
-    report("criterion 9: sum-to-integral bound", elapsed, "100 generated functions")
+def test_every_check_is_gated():
+    gated = [test.check for name, test in globals().items() if name.startswith("test_criterion_")]
+    assert gated == selftest.ALL_CHECKS

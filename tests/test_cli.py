@@ -5,6 +5,20 @@ import pytest
 from colorpart import cli
 
 GOLDEN_EXACT_CSV = "n,g\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n"
+GOLDEN_QUADFORM_SEED_7 = """1..5
+ok 1 - det k=8 rel_err=3.314e-15
+ok 2 - det k=6 rel_err=2.804e-16
+ok 3 - det k=7 rel_err=1.753e-16
+ok 4 - det k=7 rel_err=1.587e-15
+ok 5 - det k=8 rel_err=9.871e-16
+"""
+GOLDEN_QUADFORM_K3 = """1..5
+ok 1 - det k=3 rel_err=1.887e-16
+ok 2 - det k=2 rel_err=3.396e-16
+ok 3 - det k=2 rel_err=1.805e-16
+ok 4 - det k=2 rel_err=2.037e-16
+ok 5 - det k=3 rel_err=2.135e-16
+"""
 
 
 def run(capsys, *argv):
@@ -30,6 +44,10 @@ class TestExact:
         code, _, err = run(capsys, "exact", "--spec", "s=2,3;l=1,1", "--n-max", "5")
         assert code == 2
         assert "first modulus" in err
+        for text in ('{"s":1,"l":1}', '{"s":[1,2.7],"l":[1,1]}', '{"s":[1],"l":[true]}'):
+            code, out, err = run(capsys, "exact", "--spec-json", text, "--n-max", "3")
+            assert (code, out) == (2, "")
+            assert "must be a list of integers" in err
 
     def test_raw_format(self, capsys):
         code, out, _ = run(capsys, "exact", "--spec", "s=1;l=2",
@@ -55,6 +73,14 @@ class TestExact:
         assert code == 0
         assert out == ""
         assert path.read_text() == GOLDEN_EXACT_CSV
+
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.csv"
+        for argv in (["exact", "--spec", "s=1;l=1", "--n-max", "5"], ["selftest"]):
+            code, out, err = run(capsys, *argv, "--output", str(path))
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "x.csv" in err
+        assert not path.parent.exists()
 
 
 class TestAsymptotic:
@@ -154,9 +180,10 @@ class TestQuadform:
         assert all(line.startswith("ok ") for line in lines[1:])
 
     def test_seeded_reproducibility(self, capsys):
-        _, out1, _ = run(capsys, "quadform", "--trials", "5", "--rng-seed", "7")
-        _, out2, _ = run(capsys, "quadform", "--trials", "5", "--rng-seed", "7")
-        assert out1 == out2
+        assert run(capsys, "quadform", "--trials", "5", "--rng-seed", "7") == (
+            0, GOLDEN_QUADFORM_SEED_7, "")
+        assert run(capsys, "quadform", "--k", "3", "--trials", "5", "--rng-seed", "0") == (
+            0, GOLDEN_QUADFORM_K3, "")
 
 
 class TestUsage:

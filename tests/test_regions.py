@@ -133,7 +133,7 @@ class TestRegionSplit:
 
     def test_budget(self):
         spec = cp.validate([1], [3])
-        with pytest.raises(errors.BudgetExceeded):
+        with pytest.raises(errors.TooLarge):
             cp.region_split(spec, 200, Fraction(4, 5), cp.partition_table(200),
                             budget=100)
 

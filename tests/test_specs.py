@@ -29,23 +29,23 @@ class TestValidate:
         assert spec.total_colors() == 4
 
     def test_first_modulus_not_one(self):
-        with pytest.raises(errors.FirstModulusNotOne):
+        with pytest.raises(errors.SpecError, match="first modulus must be 1"):
             cp.validate([2, 3], [1, 1])
 
     def test_non_increasing_moduli(self):
-        with pytest.raises(errors.NonIncreasingModuli):
+        with pytest.raises(errors.SpecError, match="strictly increasing"):
             cp.validate([1, 3, 3], [1, 1, 1])
 
     def test_non_positive_multiplicity(self):
-        with pytest.raises(errors.NonPositiveMultiplicity):
+        with pytest.raises(errors.SpecError, match="multiplicities must be >= 1"):
             cp.validate([1, 2], [1, 0])
 
     def test_empty(self):
-        with pytest.raises(errors.EmptySpec):
+        with pytest.raises(errors.SpecError, match="at least one"):
             cp.validate([], [])
 
     def test_length_mismatch(self):
-        with pytest.raises(errors.EmptySpec):
+        with pytest.raises(errors.SpecError, match="differ in length"):
             cp.validate([1, 2], [1])
 
 
@@ -63,7 +63,7 @@ class TestSerialization:
         assert cp.parse_json('{"s":[1,3],"l":[2,2]}') == cp.validate([1, 3], [2, 2])
 
     def test_malformed_text(self):
-        with pytest.raises(errors.EmptySpec):
+        with pytest.raises(errors.SpecError, match="exactly s and l"):
             cp.parse_text("s=1,3")
 
     @given(valid_specs())
