@@ -1,7 +1,7 @@
 """Command-line surface: exact series, constants, comparisons, fits, regions.
 
 Exit codes: 0 success, 1 assertion/property failure, 2 usage, invalid
-input or an unwritable --output path, 3 exact-method mismatch, 4 enumeration
+input or an unwritable --output path, 3 exact-method mismatch, 4 work
 budget exceeded.
 """
 
@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eta", default="4/5", help="box-width exponent (rational)")
-    p.add_argument("--budget", type=int, default=regions.DEFAULT_ENUM_BUDGET)
+    p.add_argument("--budget", type=int, default=exact.DEFAULT_FOLD_BUDGET)
     p.set_defaults(func=cmd_regions)
 
     p = sub.add_parser("quadform", help="determinant identity property suite (TAP)")

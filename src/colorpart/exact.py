@@ -142,6 +142,28 @@ def g_series_euler(spec: ColoredSpec, n_max: int) -> ExactSeries:
 DEFAULT_FOLD_BUDGET = 10**9
 
 
+def _fold(n: int, p, colors) -> int:
+    """Sum of p[u_0] * prod_i p[u_i] over tuples with u_0 + sum_i s_i * u_i = n.
+
+    ``colors`` holds one range ``(s_i, lo_i, hi_i)`` of u_i per color, and u_0
+    is one more, unrestricted, s = 1 color.  The colors are folded in the
+    given order, each as a stride-s convolution with p that skips zero
+    entries, so passing large moduli first keeps the early arrays sparse.
+    The u_0 color then closes the sum as one dot product against p.
+    """
+    acc = [0] * (n + 1)
+    acc[0] = 1
+    for s, lo, hi in colors:
+        terms = p[lo:hi + 1]
+        out = [0] * (n + 1)
+        for t, base in enumerate(acc):
+            if base:
+                for j, pu in zip(range(t + s * lo, n + 1, s), terms):
+                    out[j] += base * pu
+        acc = out
+    return sum(a * p[n - t] for t, a in enumerate(acc))
+
+
 def g_via_tuple_convolution(
     spec: ColoredSpec,
     n: int,
@@ -166,18 +188,8 @@ def g_via_tuple_convolution(
     est = sum((n // si + 1) * (n + 1) for si in colors)
     if est > budget:
         raise TooLarge(f"estimated {est} fold steps exceeds budget {budget}")
-    acc = [0] * (n + 1)
-    acc[0] = 1
-    for si in colors:
-        out = [0] * (n + 1)
-        for t in range(n + 1):
-            base = acc[t]
-            if base == 0:
-                continue
-            for u in range((n - t) // si + 1):
-                out[t + si * u] += base * ptable[u]
-        acc = out
-    return acc[n]
+    # s[0] = 1, so the last color is an s = 1 color: the fold's closing one.
+    return _fold(n, ptable.coeffs, [(si, 0, n // si) for si in colors[:-1]])
 
 
 def series_to_csv(series: ExactSeries) -> str:

@@ -62,7 +62,12 @@ def det_trials(trials: int, k_max: int, seed: int) -> list[tuple[int, float, flo
 
     Each trial draws k uniformly from 1..k_max, then coefficients from
     [0.1, 10); the ``quadform`` command and the acceptance battery share it.
+    Raises ValueError when ``trials`` or ``k_max`` is below 1.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if k_max < 1:
+        raise ValueError(f"k must be >= 1, got {k_max}")
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(trials):

@@ -9,6 +9,7 @@ the sum exactly into the box |u - v| < v**eta (main) and its complement
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,11 +17,9 @@ from fractions import Fraction
 import mpmath
 
 from .errors import TooLarge, WindowUndefined
-from .exact import ExactSeries
+from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, _fold
 from .precision import working_precision
 from .specs import AsymptoticConstants, ColoredSpec, require_eta
-
-DEFAULT_ENUM_BUDGET = 10**9
 
 
 @dataclass(frozen=True)
@@ -68,20 +67,43 @@ def saddle_tuple(spec: ColoredSpec, n: int) -> list[Fraction]:
     return [Fraction(n) / (spec.modulus(i) ** 2 * a) for i, _ in spec.pairs()]
 
 
+def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
+    """The range lo..hi of u in 0..top with |u - v| < v**eta; ties fall outside.
+
+    For eta = a/b and v = vn/vd the test is the exact integer comparison
+    |u*vd - vn|**b * vd**a < vn**a * vd**b.  The u that pass form one run
+    around v, and it contains floor(v) because 0 < eta < 1 makes
+    v**eta > v - floor(v) for every v > 0, so each end is found by bisection.
+    """
+    vn, vd = v.numerator, v.denominator
+    scale, bound = vd**eta.numerator, vn**eta.numerator * vd**eta.denominator
+
+    def inside(u: int) -> bool:
+        return abs(u * vd - vn) ** eta.denominator * scale < bound
+
+    center = vn // vd
+    lo = bisect.bisect_left(range(center + 1), True, key=inside)
+    hi = center - 1 + bisect.bisect_left(range(center, top + 1), True,
+                                         key=lambda u: not inside(u))
+    return lo, hi
+
+
 def region_split(
     spec: ColoredSpec,
     n: int,
     eta,
     ptable: ExactSeries,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    budget: int = DEFAULT_FOLD_BUDGET,
 ) -> RegionSplitReport:
     """Exactly split the tuple sum for g(n) at box-width exponent eta.
 
-    Only the coordinates after the first are enumerated; u_{1,1} is derived
-    from the linear constraint (s_1 = 1 makes it always integral) and tuples
-    driving it negative are skipped.  A tuple lands in the main region iff
-    every free coordinate satisfies the strict box condition |u - v| < v**eta;
-    boundary ties count as tail.
+    A tuple lands in the main region iff every coordinate but u_{1,1}
+    satisfies the strict box condition |u - v| < v**eta; boundary ties count
+    as tail.  u_{1,1} is exempt and absorbs the remainder of the linear
+    constraint (s_1 = 1 makes it always integral).  Both the whole sum and
+    the main sum are one fold over the free colors, the main one with each
+    color's range cut to its box; the tail is their difference.  Raises
+    TooLarge when the whole fold's estimated step count exceeds ``budget``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -93,46 +115,18 @@ def region_split(
         raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
     eta = require_eta(spec, eta)
 
-    pairs = list(spec.pairs())
     v = saddle_tuple(spec, n)
-    free = [(spec.modulus(i), vi) for (i, _), vi in zip(pairs, v)][1:]
-
-    est = 1
-    for si, _ in free:
-        est *= n // si + 1
+    moduli = [spec.modulus(i) for i, _ in spec.pairs()]
+    free = sorted(zip(moduli[1:], v[1:]), reverse=True)
+    est = sum((n // si + 1) * (n + 1) for si, _ in free)
     if est > budget:
-        raise TooLarge(f"estimated {est} tuples exceeds budget {budget}")
+        raise TooLarge(f"estimated {est} fold steps exceeds budget {budget}")
 
-    # The box test compares an integer distance against the irrational v**eta;
-    # 192 bits leaves the strict inequality unambiguous for any reachable n.
-    with working_precision(192):
-        centers = [mpmath.mpf(vi.numerator) / vi.denominator for _, vi in free]
-        radii = [
-            c ** (mpmath.mpf(eta.numerator) / eta.denominator) for c in centers
-        ]
-
-    main_sum = 0
-    tail_sum = 0
-
-    def walk(idx: int, remaining: int, prod: int, in_box: bool) -> None:
-        nonlocal main_sum, tail_sum
-        if idx == len(free):
-            # remaining is u_{1,1}; the (1,1) coordinate is exempt from the box
-            term = prod * ptable[remaining]
-            if in_box:
-                main_sum += term
-            else:
-                tail_sum += term
-            return
-        si, _ = free[idx]
-        center, radius = centers[idx], radii[idx]
-        for u in range(remaining // si + 1):
-            ok = in_box and abs(u - center) < radius
-            walk(idx + 1, remaining - si * u, prod * ptable[u], ok)
-
-    walk(0, n, 1, True)
+    p = ptable.coeffs
+    total = _fold(n, p, [(si, 0, n // si) for si, _ in free])
+    main_sum = _fold(n, p, [(si, *_box(vi, eta, n // si)) for si, vi in free])
     return RegionSplitReport(spec=spec, n=n, eta=eta, v=tuple(v),
-                             main_sum=main_sum, tail_sum=tail_sum)
+                             main_sum=main_sum, tail_sum=total - main_sum)
 
 
 def tail_bound_certificate(

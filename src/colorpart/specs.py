@@ -8,6 +8,7 @@ on parts divisible by ``s[i]``.  The moduli must satisfy
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -61,10 +62,25 @@ class ColoredSpec:
         return self.to_text()
 
 
+def _integers(key: str, values) -> tuple[int, ...]:
+    """The entries of one spec field as ints, refusing any entry that is not one.
+
+    ``operator.index`` admits numpy integers and refuses floats and strings;
+    bools are refused explicitly, since int() would quietly turn True into 1.
+    """
+    try:
+        entries = tuple(values)
+        if not any(isinstance(x, bool) for x in entries):
+            return tuple(operator.index(x) for x in entries)
+    except TypeError:
+        pass
+    raise SpecError(f"spec {key!r} must be a list of integers, got {values!r}")
+
+
 def validate(s, l) -> ColoredSpec:
     """Check the spec invariants, returning a ColoredSpec or raising SpecError."""
-    s = tuple(int(x) for x in s)
-    l = tuple(int(x) for x in l)
+    s = _integers("s", s)
+    l = _integers("l", l)
     if len(s) == 0 or len(l) == 0:
         raise SpecError("spec needs at least one (modulus, multiplicity) pair")
     if len(s) != len(l):
@@ -100,8 +116,7 @@ def parse_json(text: str) -> ColoredSpec:
     if not isinstance(obj, dict) or set(obj) != {"s", "l"}:
         raise SpecError("spec JSON must be an object with keys 's' and 'l'")
     for key in ("s", "l"):
-        # json.loads yields bools and floats too; int() would quietly coerce them.
-        if not isinstance(obj[key], list) or any(type(x) is not int for x in obj[key]):
+        if not isinstance(obj[key], list):
             raise SpecError(f"spec JSON {key!r} must be a list of integers, got {obj[key]!r}")
     return validate(obj["s"], obj["l"])
 

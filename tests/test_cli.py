@@ -163,6 +163,22 @@ class TestRegions:
                          "--n", "300", "--eta", "4/5", "--budget", "10")
         assert code == 4
 
+    def test_refusal_names_fold_steps(self, capsys):
+        code, out, err = run(capsys, "regions", "--spec", "s=1;l=3",
+                             "--n", "300", "--budget", "10")
+        assert (code, out) == (4, "")
+        assert err == "error: estimated 181202 fold steps exceeds budget 10\n"
+
+    def test_six_colors_fit_the_default_budget(self, capsys):
+        # The old estimate counted 201**5 tuples and refused this split.
+        code, out, _ = run(capsys, "regions", "--spec", "s=1;l=6", "--n", "200")
+        assert code == 0
+        obj = json.loads(out)
+        import colorpart as cp
+
+        g200 = cp.g_series_divisor(cp.validate([1], [6]), 200)[200]
+        assert int(obj["main_sum"]) + int(obj["tail_sum"]) == g200
+
     def test_classical_rejected(self, capsys):
         code, _, _ = run(capsys, "regions", "--spec", "s=1;l=1",
                          "--n", "50", "--eta", "4/5")
@@ -178,6 +194,14 @@ class TestQuadform:
         assert lines[0] == "1..20"
         assert len(lines) == 21
         assert all(line.startswith("ok ") for line in lines[1:])
+
+    @pytest.mark.parametrize("argv,name", [(["--k", "0", "--trials", "2"], "k"),
+                                           (["--trials", "-1"], "trials"),
+                                           (["--trials", "0"], "trials")])
+    def test_bad_arguments_exit_2(self, capsys, argv, name):
+        code, out, err = run(capsys, "quadform", *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {name} must be >= 1")
 
     def test_seeded_reproducibility(self, capsys):
         assert run(capsys, "quadform", "--trials", "5", "--rng-seed", "7") == (

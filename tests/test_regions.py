@@ -58,23 +58,23 @@ def enumerate_tuples(spec, n):
             yield (u0,) + rest
 
 
+def in_box(u, v, eta):
+    """|u - v| < v**eta, decided in exact rationals as |u - v|**b < v**a for eta = a/b."""
+    return abs(u - v) ** eta.denominator < v ** eta.numerator
+
+
 def brute_force_split(spec, n, eta, ptable):
     """Independent classifier: enumerate every tuple and test the box directly."""
     v = cp.saddle_tuple(spec, n)
     pairs = list(spec.pairs())
     main = tail = 0
     for u in enumerate_tuples(spec, n):
-        in_box = True
-        for idx, ((i, j), vi) in enumerate(zip(pairs, v)):
-            if (i, j) == (1, 1):
-                continue
-            if not abs(u[idx] - float(vi)) < float(vi) ** eta:
-                in_box = False
-                break
+        in_main = all(in_box(u[idx], vi, eta)
+                      for idx, ((i, j), vi) in enumerate(zip(pairs, v)) if (i, j) != (1, 1))
         prod = 1
         for ui in u:
             prod *= ptable[ui]
-        if in_box:
+        if in_main:
             main += prod
         else:
             tail += prod
@@ -105,13 +105,27 @@ class TestRegionSplit:
         assert f400 < f100
 
     def test_matches_brute_force_classifier(self):
-        ptable = cp.partition_table(60)
+        ptable = cp.partition_table(120)
         for raw, n in [(([1, 2], [1, 1]), 20), (([1, 2], [1, 1]), 7),
-                       (([1], [2]), 30), (([1, 3], [1, 1]), 25)]:
+                       (([1], [2]), 30), (([1, 3], [1, 1]), 25), (([1], [2]), 64),
+                       (([1], [3]), 120), (([1, 2], [2, 1]), 120), (([1, 3], [2, 2]), 120),
+                       (([1, 2, 5], [1, 1, 2]), 90)]:
             spec = cp.validate(*raw)
             rep = cp.region_split(spec, n, Fraction(4, 5), ptable)
-            main, tail = brute_force_split(spec, n, 0.8, ptable)
+            main, tail = brute_force_split(spec, n, Fraction(4, 5), ptable)
             assert (rep.main_sum, rep.tail_sum) == (main, tail), (raw, n)
+
+    def test_exact_tie_is_tail(self):
+        # s=1;l=2 at n=64: v = 32 and v**(4/5) = 16 exactly, so u = 16 and u = 48
+        # sit on the box boundary.  A float test puts them inside, since
+        # 32.0 ** 0.8 rounds to 16.000000000000004.
+        spec, eta = cp.validate([1], [2]), Fraction(4, 5)
+        assert cp.saddle_tuple(spec, 64) == [32, 32]
+        assert not in_box(48, Fraction(32), eta) and not in_box(16, Fraction(32), eta)
+        assert in_box(47, Fraction(32), eta) and in_box(17, Fraction(32), eta)
+        ptable = cp.partition_table(64)
+        rep = cp.region_split(spec, 64, eta, ptable)
+        assert rep.main_sum == sum(ptable[u] * ptable[64 - u] for u in range(17, 48))
 
     def test_saddle_maximality_over_tuples(self):
         # Cauchy-Schwarz: every tuple satisfies sum sqrt(u) <= sqrt(a*n)

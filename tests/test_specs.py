@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -47,6 +48,17 @@ class TestValidate:
     def test_length_mismatch(self):
         with pytest.raises(errors.SpecError, match="differ in length"):
             cp.validate([1, 2], [1])
+
+    @pytest.mark.parametrize("s,l", [([1, 2.7], [1, 1]), ([1.0], [1]), ([1], [True]),
+                                     ([1, 2], [1, False]), (["1"], [1]), ([1], ["2"])])
+    def test_non_integer_entries(self, s, l):
+        with pytest.raises(errors.SpecError, match="must be a list of integers"):
+            cp.validate(s, l)
+
+    def test_numpy_integers_accepted(self):
+        spec = cp.validate(np.array([1, 3]), [np.int64(2), 2])
+        assert spec == cp.validate([1, 3], [2, 2])
+        assert all(type(x) is int for x in spec.s + spec.l)
 
 
 class TestSerialization:
