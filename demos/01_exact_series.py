@@ -13,14 +13,13 @@ N = 30
 
 divisor = cp.g_series_divisor(spec, N)
 euler = cp.g_series_euler(spec, N)
-ptable = cp.partition_table(N)
+convolution = cp.g_series_convolution(spec, N)
 
 print(f"spec: {spec}   (colors: {spec.total_colors()})")
 print(f"{'n':>4} {'divisor':>16} {'euler':>16} {'convolution':>16}")
 for n in range(N + 1):
-    conv = cp.g_via_tuple_convolution(spec, n, ptable)
-    assert divisor[n] == euler[n] == conv
-    print(f"{n:>4} {divisor[n]:>16} {euler[n]:>16} {conv:>16}")
+    assert divisor[n] == euler[n] == convolution[n]
+    print(f"{n:>4} {divisor[n]:>16} {euler[n]:>16} {convolution[n]:>16}")
 
 print("\nall three methods agree on every coefficient")
 

@@ -22,6 +22,7 @@ from .asymptotic import (
 from .exact import (
     ExactSeries,
     Method,
+    g_series_convolution,
     g_series_divisor,
     g_series_euler,
     g_via_tuple_convolution,
@@ -72,6 +73,7 @@ __all__ = [
     "det_closed_form",
     "eta_window",
     "fit_error_exponent",
+    "g_series_convolution",
     "g_series_divisor",
     "g_series_euler",
     "g_via_tuple_convolution",

@@ -63,34 +63,27 @@ def _emit(args, text: str) -> None:
 
 def cmd_exact(args) -> int:
     spec = _resolve_spec(args)
-    n_max = args.n_max
-    if args.method in ("divisor", "all"):
-        series = exact.g_series_divisor(spec, n_max)
-    elif args.method == "euler":
-        series = exact.g_series_euler(spec, n_max)
-    else:
-        ptable = exact.partition_table(n_max)
-        coeffs = tuple(
-            exact.g_via_tuple_convolution(spec, n, ptable, budget=args.budget)
-            for n in range(n_max + 1)
-        )
-        series = exact.ExactSeries(spec, coeffs, exact.Method.TUPLE_CONVOLUTION)
+    # Convolution goes first: it refuses an over-budget request before any
+    # engine builds a table.  Engines are looked up on ``exact`` per call.
+    names = ["convolution", "divisor", "euler"] if args.method == "all" else [args.method]
+    series = {}
+    for name in names:
+        kwargs = {"budget": args.budget} if name == "convolution" else {}
+        series[name] = getattr(exact, f"g_series_{name}")(spec, args.n_max, **kwargs)
     if args.method == "all":
-        euler = exact.g_series_euler(spec, n_max)
-        ptable = exact.partition_table(n_max)
-        for n in range(n_max + 1):
-            conv = exact.g_via_tuple_convolution(spec, n, ptable, budget=args.budget)
-            if not (series[n] == euler[n] == conv):
-                raise OracleMismatch(
-                    f"methods disagree at n={n}: divisor={series[n]} "
-                    f"euler={euler[n]} convolution={conv}"
-                )
+        columns = zip(series["divisor"].coeffs, series["euler"].coeffs,
+                      series["convolution"].coeffs)
+        for n, (div, eul, conv) in enumerate(columns):
+            if not div == eul == conv:
+                raise OracleMismatch(f"methods disagree at n={n}: divisor={div} "
+                                     f"euler={eul} convolution={conv}")
+    shown = series["divisor" if args.method == "all" else args.method]
     if args.format == "raw":
-        _emit(args, exact.series_to_raw(series))
+        _emit(args, exact.series_to_raw(shown))
     elif args.format == "json":
-        _emit(args, exact.series_to_json(series) + "\n")
+        _emit(args, exact.series_to_json(shown) + "\n")
     else:
-        _emit(args, exact.series_to_csv(series))
+        _emit(args, exact.series_to_csv(shown))
     return EXIT_OK
 
 
@@ -158,9 +151,11 @@ def cmd_fit(args) -> int:
 
 def cmd_regions(args) -> int:
     spec = _resolve_spec(args)
+    eta = specs.require_eta(spec, Fraction(args.eta))
+    # The split folds every color but the first; refuse before the p-table.
+    exact.check_fold_budget(spec.moduli[1:], args.n, args.budget)
     ptable = exact.partition_table(args.n)
-    report = regions.region_split(spec, args.n, Fraction(args.eta), ptable,
-                                  budget=args.budget)
+    report = regions.region_split(spec, args.n, eta, ptable, budget=args.budget)
     _emit(args, report.to_json() + "\n")
     return EXIT_OK
 

@@ -1,12 +1,13 @@
 """Exact arbitrary-precision evaluation of colored partition counts.
 
-Three independent routes to the same integers:
+Three independent series engines, each returning g(0..N):
 
-* ``g_series_divisor``  -- divisor-sum recurrence from the logarithmic
+* ``g_series_divisor``     -- divisor-sum recurrence from the logarithmic
   derivative of the generating product (the workhorse, O(N^2)).
-* ``g_series_euler``    -- direct truncated Euler-product multiplication.
-* ``g_via_tuple_convolution`` -- the convolution of plain partition counts
-  over constrained tuples, folded one color at a time.
+* ``g_series_euler``       -- direct truncated Euler-product multiplication.
+* ``g_series_convolution`` -- ``g_via_tuple_convolution`` at each n: the
+  convolution of plain partition counts over constrained tuples, folded
+  one color at a time.
 
 Each serves as an oracle for the others; the test suite enforces three-way
 agreement.  Plain p(n), the s=1;l=1 series, comes from the pentagonal-number
@@ -142,6 +143,13 @@ def g_series_euler(spec: ColoredSpec, n_max: int) -> ExactSeries:
 DEFAULT_FOLD_BUDGET = 10**9
 
 
+def check_fold_budget(moduli, n: int, budget: int) -> None:
+    """Raise TooLarge if folding colors of these moduli at n takes over ``budget`` steps."""
+    est = sum((n // si + 1) * (n + 1) for si in moduli)
+    if est > budget:
+        raise TooLarge(f"estimated {est} fold steps exceeds budget {budget}")
+
+
 def _fold(n: int, p, colors) -> int:
     """Sum of p[u_0] * prod_i p[u_i] over tuples with u_0 + sum_i s_i * u_i = n.
 
@@ -164,12 +172,8 @@ def _fold(n: int, p, colors) -> int:
     return sum(a * p[n - t] for t, a in enumerate(acc))
 
 
-def g_via_tuple_convolution(
-    spec: ColoredSpec,
-    n: int,
-    ptable: ExactSeries,
-    budget: int = DEFAULT_FOLD_BUDGET,
-) -> int:
+def g_via_tuple_convolution(spec: ColoredSpec, n: int, ptable: ExactSeries,
+                            budget: int = DEFAULT_FOLD_BUDGET) -> int:
     """g(n) as the sum over constrained tuples of products of p-values.
 
     The tuple sum is evaluated by folding one color at a time (a stride-s
@@ -181,15 +185,25 @@ def g_via_tuple_convolution(
         raise ValueError("n must be >= 0")
     if len(ptable) <= n:
         raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
-    colors = []
-    for si, li in zip(spec.s, spec.l):
-        colors.extend([si] * li)
-    colors.sort(reverse=True)
-    est = sum((n // si + 1) * (n + 1) for si in colors)
-    if est > budget:
-        raise TooLarge(f"estimated {est} fold steps exceeds budget {budget}")
+    colors = sorted(spec.moduli, reverse=True)
+    check_fold_budget(colors, n, budget)
     # s[0] = 1, so the last color is an s = 1 color: the fold's closing one.
     return _fold(n, ptable.coeffs, [(si, 0, n // si) for si in colors[:-1]])
+
+
+def g_series_convolution(spec: ColoredSpec, n_max: int,
+                         budget: int = DEFAULT_FOLD_BUDGET) -> ExactSeries:
+    """g(0..n_max) by one tuple convolution per n over a shared p-table.
+
+    The fold at n_max is the largest, so its budget is checked first: an
+    over-budget request raises TooLarge before the table is built.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    check_fold_budget(spec.moduli, n_max, budget)
+    ptable = partition_table(n_max)
+    coeffs = tuple(g_via_tuple_convolution(spec, n, ptable, budget) for n in range(n_max + 1))
+    return ExactSeries(spec=spec, coeffs=coeffs, method=Method.TUPLE_CONVOLUTION)
 
 
 def series_to_csv(series: ExactSeries) -> str:

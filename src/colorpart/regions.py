@@ -16,8 +16,7 @@ from fractions import Fraction
 
 import mpmath
 
-from .errors import TooLarge, WindowUndefined
-from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, _fold
+from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, _fold, check_fold_budget
 from .precision import working_precision
 from .specs import AsymptoticConstants, ColoredSpec, require_eta
 
@@ -58,13 +57,13 @@ class RegionSplitReport:
 def saddle_tuple(spec: ColoredSpec, n: int) -> list[Fraction]:
     """The maximizer v_{i,j} = n / (s_i^2 * a) of sum sqrt(u) over the tuple set.
 
-    Exact rationals, one entry per (i, j) in spec.pairs() order; satisfies
+    Exact rationals, one entry per color in spec.moduli order; satisfies
     sum s_i * v_{i,j} = n exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     a = spec.growth_rate()
-    return [Fraction(n) / (spec.modulus(i) ** 2 * a) for i, _ in spec.pairs()]
+    return [Fraction(n) / (si**2 * a) for si in spec.moduli]
 
 
 def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
@@ -88,13 +87,8 @@ def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
     return lo, hi
 
 
-def region_split(
-    spec: ColoredSpec,
-    n: int,
-    eta,
-    ptable: ExactSeries,
-    budget: int = DEFAULT_FOLD_BUDGET,
-) -> RegionSplitReport:
+def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries,
+                 budget: int = DEFAULT_FOLD_BUDGET) -> RegionSplitReport:
     """Exactly split the tuple sum for g(n) at box-width exponent eta.
 
     A tuple lands in the main region iff every coordinate but u_{1,1}
@@ -103,24 +97,19 @@ def region_split(
     constraint (s_1 = 1 makes it always integral).  Both the whole sum and
     the main sum are one fold over the free colors, the main one with each
     color's range cut to its box; the tail is their difference.  Raises
-    TooLarge when the whole fold's estimated step count exceeds ``budget``.
+    WindowUndefined or EtaOutOfWindow (from ``require_eta``) for an
+    inadmissible eta, and TooLarge when the whole fold's estimated step
+    count exceeds ``budget``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if spec.k + spec.l[0] < 3:
-        raise WindowUndefined(
-            f"region split needs k + l[0] >= 3, got k={spec.k}, l[0]={spec.l[0]}"
-        )
     if len(ptable) <= n:
         raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
     eta = require_eta(spec, eta)
 
     v = saddle_tuple(spec, n)
-    moduli = [spec.modulus(i) for i, _ in spec.pairs()]
-    free = sorted(zip(moduli[1:], v[1:]), reverse=True)
-    est = sum((n // si + 1) * (n + 1) for si, _ in free)
-    if est > budget:
-        raise TooLarge(f"estimated {est} fold steps exceeds budget {budget}")
+    free = sorted(zip(spec.moduli[1:], v[1:]), reverse=True)
+    check_fold_budget([si for si, _ in free], n, budget)
 
     p = ptable.coeffs
     total = _fold(n, p, [(si, 0, n // si) for si, _ in free])

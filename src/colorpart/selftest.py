@@ -41,16 +41,13 @@ def random_spec(rng: random.Random) -> specs.ColoredSpec:
 
 def check_triple_agreement(seed: int = 2024, n_max: int = 100) -> tuple[str, bool, str]:
     rng = random.Random(seed)
-    ptable = exact.partition_table(n_max)
     for _ in range(5):
         spec = random_spec(rng)
         div = exact.g_series_divisor(spec, n_max)
-        eul = exact.g_series_euler(spec, n_max)
-        if div.coeffs != eul.coeffs:
-            return ("triple agreement", False, f"divisor vs euler mismatch for {spec}")
-        for n in range(n_max + 1):
-            if exact.g_via_tuple_convolution(spec, n, ptable) != div[n]:
-                return ("triple agreement", False, f"convolution mismatch for {spec} at n={n}")
+        for other in (exact.g_series_euler(spec, n_max), exact.g_series_convolution(spec, n_max)):
+            if other.coeffs != div.coeffs:
+                return ("triple agreement", False,
+                        f"divisor vs {other.method.value} mismatch for {spec}")
     return ("triple agreement", True, f"5 random specs (seed {seed}), n <= {n_max}, 3 methods")
 
 

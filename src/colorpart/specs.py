@@ -11,7 +11,6 @@ import json
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import mpmath
 
@@ -40,15 +39,10 @@ class ColoredSpec:
         """The exact rational sum of l[i]/s[i] driving the exponential."""
         return sum((Fraction(li, si) for si, li in zip(self.s, self.l)), Fraction(0))
 
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        """All (i, j) color indices, 1-based, in lexicographic order."""
-        for i, li in enumerate(self.l, start=1):
-            for j in range(1, li + 1):
-                yield (i, j)
-
-    def modulus(self, i: int) -> int:
-        """Modulus for 1-based color-group index i."""
-        return self.s[i - 1]
+    @property
+    def moduli(self) -> tuple[int, ...]:
+        """One modulus per color: s[i] repeated l[i] times, in increasing order."""
+        return tuple(si for si, li in zip(self.s, self.l) for _ in range(li))
 
     def to_text(self) -> str:
         return "s={};l={}".format(
@@ -101,7 +95,11 @@ def parse_text(text: str) -> ColoredSpec:
         if "=" not in chunk:
             raise SpecError(f"malformed spec text {text!r}")
         key, _, val = chunk.partition("=")
-        fields[key.strip()] = [int(x) for x in val.split(",") if x.strip()]
+        key = key.strip()
+        try:
+            fields[key] = [int(x) for x in val.split(",") if x.strip()]
+        except ValueError:
+            raise SpecError(f"spec {key!r} must be a list of integers, got {val!r}") from None
     if set(fields) != {"s", "l"}:
         raise SpecError(f"spec text must define exactly s and l, got {sorted(fields)}")
     return validate(fields["s"], fields["l"])

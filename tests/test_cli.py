@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from colorpart import cli
+from colorpart import cli, exact
 
 GOLDEN_EXACT_CSV = "n,g\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n"
 GOLDEN_QUADFORM_SEED_7 = """1..5
@@ -27,6 +28,14 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def forbid(monkeypatch, *names):
+    """Make each named ``exact`` function fail the test if it is called."""
+    for name in names:
+        def called(*args, name=name, **kwargs):
+            raise AssertionError(f"exact.{name} called")
+        monkeypatch.setattr(exact, name, called)
+
+
 class TestExact:
     def test_classical_all_methods(self, capsys):
         code, out, _ = run(capsys, "exact", "--spec", "s=1;l=1",
@@ -44,6 +53,10 @@ class TestExact:
         code, _, err = run(capsys, "exact", "--spec", "s=2,3;l=1,1", "--n-max", "5")
         assert code == 2
         assert "first modulus" in err
+        for text in ("s=1,x;l=1,1", "s=1,2.5;l=1,1"):
+            code, out, err = run(capsys, "exact", "--spec", text, "--n-max", "3")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: spec 's' must be a list of integers, got ")
         for text in ('{"s":1,"l":1}', '{"s":[1,2.7],"l":[1,1]}', '{"s":[1],"l":[true]}'):
             code, out, err = run(capsys, "exact", "--spec-json", text, "--n-max", "3")
             assert (code, out) == (2, "")
@@ -65,6 +78,30 @@ class TestExact:
         code, _, err = run(capsys, "exact", "--spec", "s=1;l=3", "--n-max", "500",
                            "--method", "convolution", "--budget", "10")
         assert code == 4
+
+    @pytest.mark.parametrize("method", ["convolution", "all"])
+    def test_budget_refused_before_any_work(self, capsys, monkeypatch, method):
+        forbid(monkeypatch, "partition_table", "g_series_divisor", "g_series_euler")
+        code, out, err = run(capsys, "exact", "--spec", "s=1;l=3", "--n-max", "500",
+                             "--method", method, "--budget", "10")
+        # 3 colors * 501**2: the estimate at n_max.
+        assert (code, out) == (4, "")
+        assert err == "error: estimated 753003 fold steps exceeds budget 10\n"
+
+    def test_disagreement_exit_3(self, capsys, monkeypatch):
+        euler = exact.g_series_euler
+
+        def off_by_one(spec, n_max):
+            series = euler(spec, n_max)
+            coeffs = list(series.coeffs)
+            coeffs[4] += 1
+            return dataclasses.replace(series, coeffs=tuple(coeffs))
+
+        monkeypatch.setattr(exact, "g_series_euler", off_by_one)
+        code, out, err = run(capsys, "exact", "--spec", "s=1;l=1", "--n-max", "5",
+                             "--method", "all")
+        assert (code, out) == (3, "")
+        assert err == "error: methods disagree at n=4: divisor=5 euler=6 convolution=5\n"
 
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "series.csv"
@@ -168,6 +205,13 @@ class TestRegions:
                              "--n", "300", "--budget", "10")
         assert (code, out) == (4, "")
         assert err == "error: estimated 181202 fold steps exceeds budget 10\n"
+
+    def test_budget_refused_before_the_table(self, capsys, monkeypatch):
+        forbid(monkeypatch, "partition_table")
+        code, out, err = run(capsys, "regions", "--spec", "s=1;l=2", "--n", "30000",
+                             "--budget", "10")
+        assert (code, out) == (4, "")
+        assert err == "error: estimated 900060001 fold steps exceeds budget 10\n"
 
     def test_six_colors_fit_the_default_budget(self, capsys):
         # The old estimate counted 201**5 tuples and refused this split.

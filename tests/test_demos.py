@@ -1,0 +1,23 @@
+"""The demos that call the exact engines and the region split run to the end.
+
+Each asserts its own invariants (three-way agreement of the engines, exact
+conservation of the split), so exit code 0 is the check.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("demo", ["01_exact_series.py", "04_region_decomposition.py"])
+def test_demo_exits_0(demo):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -138,6 +138,11 @@ class TestTupleConvolution:
         with pytest.raises(ValueError):
             cp.g_via_tuple_convolution(cp.validate([1], [1]), 10, cp.partition_table(5))
 
+    def test_series_engine(self, remark_spec):
+        series = cp.g_series_convolution(remark_spec, 40)
+        assert (series.spec, series.method) == (remark_spec, cp.Method.TUPLE_CONVOLUTION)
+        assert series.coeffs == cp.g_series_euler(remark_spec, 40).coeffs
+
 
 class TestCrossMethodAgreement:
     @pytest.mark.parametrize("seed", [2, 7])

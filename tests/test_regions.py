@@ -22,9 +22,7 @@ class TestSaddleTuple:
         for raw, n in [(([1, 2], [1, 1]), 17), (([1, 3, 5], [2, 1, 2]), 101)]:
             spec = cp.validate(*raw)
             v = cp.saddle_tuple(spec, n)
-            total = sum(
-                spec.modulus(i) * vi for (i, _), vi in zip(spec.pairs(), v)
-            )
+            total = sum(si * vi for si, vi in zip(color_moduli(spec), v))
             assert total == n
 
     def test_cauchy_schwarz_equality(self, remark_spec):
@@ -36,9 +34,17 @@ class TestSaddleTuple:
         assert abs(lhs - math.sqrt(float(a) * n)) < 1e-9
 
 
+def color_moduli(spec):
+    """One modulus per color, expanded from spec.s and spec.l."""
+    moduli = []
+    for si, li in zip(spec.s, spec.l):
+        moduli += [si] * li
+    return moduli
+
+
 def enumerate_tuples(spec, n):
-    """All color tuples (in spec.pairs() order) summing to n under the moduli."""
-    moduli = [spec.modulus(i) for i, _ in spec.pairs()]
+    """All color tuples (colors in increasing modulus order) summing to n."""
+    moduli = color_moduli(spec)
 
     def rec(idx, rem):
         if idx == len(moduli) - 1:
@@ -66,11 +72,10 @@ def in_box(u, v, eta):
 def brute_force_split(spec, n, eta, ptable):
     """Independent classifier: enumerate every tuple and test the box directly."""
     v = cp.saddle_tuple(spec, n)
-    pairs = list(spec.pairs())
     main = tail = 0
     for u in enumerate_tuples(spec, n):
-        in_main = all(in_box(u[idx], vi, eta)
-                      for idx, ((i, j), vi) in enumerate(zip(pairs, v)) if (i, j) != (1, 1))
+        # u[0] is color (1, 1), which is exempt from the box.
+        in_main = all(in_box(ui, vi, eta) for ui, vi in zip(u[1:], v[1:]))
         prod = 1
         for ui in u:
             prod *= ptable[ui]

@@ -55,6 +55,10 @@ class TestValidate:
         with pytest.raises(errors.SpecError, match="must be a list of integers"):
             cp.validate(s, l)
 
+    def test_moduli_one_per_color(self):
+        assert cp.validate([1, 3], [2, 2]).moduli == (1, 1, 3, 3)
+        assert cp.validate([1, 2, 5], [1, 3, 1]).moduli == (1, 2, 2, 2, 5)
+
     def test_numpy_integers_accepted(self):
         spec = cp.validate(np.array([1, 3]), [np.int64(2), 2])
         assert spec == cp.validate([1, 3], [2, 2])
@@ -77,6 +81,11 @@ class TestSerialization:
     def test_malformed_text(self):
         with pytest.raises(errors.SpecError, match="exactly s and l"):
             cp.parse_text("s=1,3")
+
+    @pytest.mark.parametrize("text", ["s=1,x;l=1,1", "s=1,2.5;l=1,1"])
+    def test_non_integer_text(self, text):
+        with pytest.raises(errors.SpecError, match="spec 's' must be a list of integers, got"):
+            cp.parse_text(text)
 
     @given(valid_specs())
     def test_round_trip_property(self, spec):
