@@ -7,8 +7,6 @@ ln M(n); the relative error is recovered as expm1 of their difference.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -138,32 +136,3 @@ def geometric_grid(start: int, stop: int, ratio: int = 2) -> list[int]:
         out.append(n)
         n *= ratio
     return out
-
-
-_SIG_DIGITS = 25
-
-
-def rows_to_csv(rows: list[ComparisonRow]) -> str:
-    buf = io.StringIO()
-    buf.write("n,ln_exact,ln_main,rel_err\n")
-    for r in rows:
-        buf.write(
-            f"{r.n},{mpmath.nstr(r.ln_exact, _SIG_DIGITS)},"
-            f"{mpmath.nstr(r.ln_main, _SIG_DIGITS)},{mpmath.nstr(r.rel_err, _SIG_DIGITS)}\n"
-        )
-    return buf.getvalue()
-
-
-def rows_to_json(rows: list[ComparisonRow]) -> str:
-    # Values go out as decimal strings: JSON numbers would truncate to double.
-    return json.dumps(
-        [
-            {
-                "n": r.n,
-                "ln_exact": mpmath.nstr(r.ln_exact, _SIG_DIGITS),
-                "ln_main": mpmath.nstr(r.ln_main, _SIG_DIGITS),
-                "rel_err": mpmath.nstr(r.rel_err, _SIG_DIGITS),
-            }
-            for r in rows
-        ]
-    )

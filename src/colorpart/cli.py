@@ -8,6 +8,9 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
+import itertools
 import json
 import sys
 from fractions import Fraction
@@ -45,27 +48,80 @@ def _resolve_spec(args) -> specs.ColoredSpec:
 
 
 def _parse_ns(args) -> list[int]:
+    """The n values of --n-geom START:STOP or --n-list N1,N2,...; [] when neither is set."""
     if getattr(args, "n_geom", None):
-        start, _, stop = args.n_geom.partition(":")
-        return asymptotic.geometric_grid(int(start), int(stop))
-    if getattr(args, "n_list", None):
-        return [int(x) for x in args.n_list.split(",") if x.strip()]
-    raise InsufficientData("provide --n-geom START:STOP or --n-list N1,N2,...")
+        try:
+            start, stop = map(int, args.n_geom.split(":"))
+        except ValueError:
+            raise ValueError(f"--n-geom must be START:STOP, two integers, "
+                             f"got {args.n_geom!r}") from None
+        return asymptotic.geometric_grid(start, stop)
+    if args.n_list:
+        try:
+            return [int(x) for x in args.n_list.split(",") if x.strip()]
+        except ValueError:
+            raise ValueError(f"--n-list must be comma-separated integers, "
+                             f"got {args.n_list!r}") from None
+    return []
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+def _text(value) -> str:
+    """A value as csv cells and JSON strings show it; mpmath floats get 25 digits."""
+    return mpmath.nstr(value, 25) if isinstance(value, mpmath.mpf) else str(value)
+
+
+def _json_value(value):
+    """JSON for the values json does not know: a spec, a Fraction, an mpmath float."""
+    if isinstance(value, specs.ColoredSpec):
+        return dataclasses.asdict(value)
+    if isinstance(value, Fraction):
+        return [value.numerator, value.denominator]
+    return _text(value)
+
+
+def rows_to_csv(header, rows) -> str:
+    """Comma-joined lines: the header, if there is one, then one line per row."""
+    return "".join(",".join(map(_text, row)) + "\n" for row in [header, *rows] if row)
+
+
+def value_to_json(value) -> str:
+    """One JSON line.  Exact integers go in as decimal strings: JSON readers
+    would round them to doubles."""
+    return json.dumps(value, default=_json_value) + "\n"
+
+
+def _write(args, lines) -> None:
+    """Write each line to --output, or to stdout, as soon as it is made."""
+    with open(args.output, "w") if args.output else contextlib.nullcontext(sys.stdout) as fh:
+        for line in lines:
+            fh.write(line)
+
+
+def _emit(args, value=None, header=(), rows=()) -> None:
+    """Write one command's result in its --format.
+
+    ``json`` writes ``value``; ``csv`` and ``raw`` write ``header`` and
+    ``rows`` as comma-joined lines; ``tap`` writes the plan for ``value``
+    tests, then ``rows``, (ok, description) pairs, each as it is produced,
+    so the output is open before the first test runs.
+    """
+    if args.format == "json":
+        _write(args, [value_to_json(value)])
+    elif args.format == "tap":
+        _write(args, itertools.chain([f"1..{value}\n"], (
+            f"{'ok' if ok else 'not ok'} {idx} - {description}\n"
+            for idx, (ok, description) in enumerate(rows, start=1))))
     else:
-        sys.stdout.write(text)
+        _write(args, [rows_to_csv(header, rows)])
 
 
 def cmd_exact(args) -> int:
     spec = _resolve_spec(args)
-    # Convolution goes first: it refuses an over-budget request before any
-    # engine builds a table.  Engines are looked up on ``exact`` per call.
+    # Every named engine's estimate is checked before any engine builds
+    # anything.  Engines are looked up on ``exact`` per call.
     names = ["convolution", "divisor", "euler"] if args.method == "all" else [args.method]
+    for name in names:
+        exact.check_series_budget(name, spec, args.n_max, args.budget)
     series = {}
     for name in names:
         kwargs = {"budget": args.budget} if name == "convolution" else {}
@@ -78,70 +134,48 @@ def cmd_exact(args) -> int:
                 raise OracleMismatch(f"methods disagree at n={n}: divisor={div} "
                                      f"euler={eul} convolution={conv}")
     shown = series["divisor" if args.method == "all" else args.method]
-    if args.format == "raw":
-        _emit(args, exact.series_to_raw(shown))
-    elif args.format == "json":
-        _emit(args, exact.series_to_json(shown) + "\n")
+    if args.format == "csv":
+        # exact.series_to_csv stays this table's writer: tests substitute it.
+        _write(args, [exact.series_to_csv(shown)])
     else:
-        _emit(args, exact.series_to_csv(shown))
+        _emit(args, {"spec": spec, "method": shown.method.value,
+                     "g": [str(g) for g in shown.coeffs]},
+              rows=[(g,) for g in shown.coeffs])
     return EXIT_OK
 
 
 def cmd_asymptotic(args) -> int:
     spec = _resolve_spec(args)
     consts = specs.constants(spec)
-    ns = [int(x) for x in args.n_list.split(",")] if args.n_list else []
-    payload = {
-        "spec": {"s": list(spec.s), "l": list(spec.l)},
-        "a": [consts.a.numerator, consts.a.denominator],
-        "d": [consts.d.numerator, consts.d.denominator],
-        "c": mpmath.nstr(consts.c, 25),
-        "exp_coeff": mpmath.nstr(consts.exp_coeff, 25),
-        "ln_main": {str(n): mpmath.nstr(asymptotic.ln_main_term(consts, n), 25) for n in ns},
-    }
-    if args.format == "json":
-        _emit(args, json.dumps(payload) + "\n")
-    else:
-        lines = [
-            f"a,{consts.a}",
-            f"d,{consts.d}",
-            f"c,{payload['c']}",
-            f"exp_coeff,{payload['exp_coeff']}",
-        ]
-        lines += [f"ln_main({n}),{v}" for n, v in payload["ln_main"].items()]
-        _emit(args, "\n".join(lines) + "\n")
+    ln_main = {n: asymptotic.ln_main_term(consts, n) for n in _parse_ns(args)}
+    _emit(args, {"spec": spec, "a": consts.a, "d": consts.d, "c": consts.c,
+                 "exp_coeff": consts.exp_coeff, "ln_main": ln_main},
+          rows=[("a", consts.a), ("d", consts.d), ("c", consts.c),
+                ("exp_coeff", consts.exp_coeff),
+                *((f"ln_main({n})", v) for n, v in ln_main.items())])
     return EXIT_OK
 
 
 def _comparison_rows(args):
     spec = _resolve_spec(args)
-    ns = _parse_ns(args)
-    return spec, asymptotic.comparison_table(spec, ns)
+    if not (args.n_geom or args.n_list):
+        raise InsufficientData("provide --n-geom START:STOP or --n-list N1,N2,...")
+    return asymptotic.comparison_table(spec, _parse_ns(args))
 
 
 def cmd_compare(args) -> int:
-    _, rows = _comparison_rows(args)
-    if args.format == "json":
-        _emit(args, asymptotic.rows_to_json(rows) + "\n")
-    else:
-        _emit(args, asymptotic.rows_to_csv(rows))
+    header = ("n", "ln_exact", "ln_main", "rel_err")
+    rows = [(r.n, r.ln_exact, r.ln_main, r.rel_err) for r in _comparison_rows(args)]
+    _emit(args, [dict(zip(header, row)) for row in rows], header, rows)
     return EXIT_OK
 
 
 def cmd_fit(args) -> int:
-    _, rows = _comparison_rows(args)
-    fit = asymptotic.fit_error_exponent(rows)
-    payload = {
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "r_squared": fit.r_squared,
-        "n_range": list(fit.n_range),
-    }
-    if args.format == "json":
-        _emit(args, json.dumps(payload) + "\n")
-    else:
-        _emit(args, "slope,intercept,r_squared,n_min,n_max\n"
-              f"{fit.slope},{fit.intercept},{fit.r_squared},{fit.n_range[0]},{fit.n_range[1]}\n")
+    fit = asymptotic.fit_error_exponent(_comparison_rows(args))
+    _emit(args, {"slope": fit.slope, "intercept": fit.intercept,
+                 "r_squared": fit.r_squared, "n_range": fit.n_range},
+          ("slope", "intercept", "r_squared", "n_min", "n_max"),
+          [(fit.slope, fit.intercept, fit.r_squared, *fit.n_range)])
     if args.assert_slope_max is not None and fit.slope > args.assert_slope_max:
         print(f"assertion failed: slope {fit.slope:.4f} > {args.assert_slope_max}",
               file=sys.stderr)
@@ -151,36 +185,40 @@ def cmd_fit(args) -> int:
 
 def cmd_regions(args) -> int:
     spec = _resolve_spec(args)
-    eta = specs.require_eta(spec, Fraction(args.eta))
-    # The split folds every color but the first; refuse before the p-table.
-    exact.check_fold_budget(spec.moduli[1:], args.n, args.budget)
+    eta = specs.require_eta(spec, args.eta)
+    regions.check_split_budget(spec, args.n, eta, args.budget)  # before the p-table
     ptable = exact.partition_table(args.n)
     report = regions.region_split(spec, args.n, eta, ptable, budget=args.budget)
-    _emit(args, report.to_json() + "\n")
+    _emit(args, {"spec": spec, "n": report.n, "eta": report.eta, "v": report.v,
+                 "main_sum": str(report.main_sum), "tail_sum": str(report.tail_sum),
+                 "tail_fraction": mpmath.nstr(report.tail_fraction(), 17)})
     return EXIT_OK
 
 
 def cmd_quadform(args) -> int:
-    lines = [f"1..{args.trials}"]
-    failures = 0
-    trials = quadform.det_trials(args.trials, args.k, args.rng_seed)
-    for idx, (k, closed, elim) in enumerate(trials, start=1):
+    results = []
+    for k, closed, elim in quadform.det_trials(args.trials, args.k, args.rng_seed):
         rel = abs(closed - elim) / abs(elim)
-        ok = rel < 1e-9
-        failures += not ok
-        status = "ok" if ok else "not ok"
-        lines.append(f"{status} {idx} - det k={k} rel_err={rel:.3e}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK if failures == 0 else EXIT_ASSERTION
+        results.append((rel < 1e-9, f"det k={k} rel_err={rel:.3e}"))
+    _emit(args, len(results), rows=results)
+    return EXIT_OK if all(ok for ok, _ in results) else EXIT_ASSERTION
 
 
 def cmd_selftest(args) -> int:
-    if args.output:
-        with open(args.output, "w") as fh:
-            ok = selftest.run_all(out=fh)
-    else:
-        ok = selftest.run_all()
-    return EXIT_OK if ok else EXIT_ASSERTION
+    failed = []
+
+    def results():
+        for check in selftest.ALL_CHECKS:
+            try:
+                name, ok, detail = check()
+            except Exception as exc:  # a crash is a failure, not an abort
+                name, ok, detail = check.__name__, False, f"raised {exc!r}"
+            if not ok:
+                failed.append(name)
+            yield ok, f"{name}: {detail}"
+
+    _emit(args, len(selftest.ALL_CHECKS), rows=results())
+    return EXIT_ASSERTION if failed else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -229,18 +267,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eta", default="4/5", help="box-width exponent (rational)")
     p.add_argument("--budget", type=int, default=exact.DEFAULT_FOLD_BUDGET)
-    p.set_defaults(func=cmd_regions)
+    p.set_defaults(func=cmd_regions, format="json")
 
     p = sub.add_parser("quadform", help="determinant identity property suite (TAP)")
     _add_common_args(p)
     p.add_argument("--k", type=int, default=8, help="maximum dimension")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.set_defaults(func=cmd_quadform)
+    p.set_defaults(func=cmd_quadform, format="tap")
 
     p = sub.add_parser("selftest", help="run the full acceptance battery (TAP)")
     _add_common_args(p)
-    p.set_defaults(func=cmd_selftest)
+    p.set_defaults(func=cmd_selftest, format="tap")
 
     return parser
 

@@ -17,8 +17,6 @@ recurrence.
 from __future__ import annotations
 
 import enum
-import io
-import json
 from dataclasses import dataclass
 
 from .errors import TooLarge
@@ -143,11 +141,35 @@ def g_series_euler(spec: ColoredSpec, n_max: int) -> ExactSeries:
 DEFAULT_FOLD_BUDGET = 10**9
 
 
+def check_budget(est: int, unit: str, budget: int) -> None:
+    """Raise TooLarge when an estimated cost, counted in ``unit``, exceeds ``budget``."""
+    if est > budget:
+        raise TooLarge(f"estimated {est} {unit} exceeds budget {budget}")
+
+
 def check_fold_budget(moduli, n: int, budget: int) -> None:
     """Raise TooLarge if folding colors of these moduli at n takes over ``budget`` steps."""
-    est = sum((n // si + 1) * (n + 1) for si in moduli)
-    if est > budget:
-        raise TooLarge(f"estimated {est} fold steps exceeds budget {budget}")
+    check_budget(sum((n // si + 1) * (n + 1) for si in moduli), "fold steps", budget)
+
+
+def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int) -> None:
+    """Raise TooLarge if ``g_series_<method>(spec, n_max)`` takes over ``budget`` steps.
+
+    Convolution costs its fold at n_max; the divisor recurrence n multiply-adds
+    per n.  The Euler product adds n_max - m + 1 times per factor 1/(1 - z^m),
+    one per color and multiple m of its modulus s: q*(n_max + 1) - s*q*(q + 1)/2
+    in all for q = n_max // s.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if method == "convolution":
+        return check_fold_budget(spec.moduli, n_max, budget)
+    if method == "divisor":
+        est = n_max * (n_max + 1) // 2
+    else:
+        est = sum(q * (n_max + 1) - si * q * (q + 1) // 2
+                  for si in spec.moduli for q in [n_max // si])
+    check_budget(est, f"{method} steps", budget)
 
 
 def _fold(n: int, p, colors) -> int:
@@ -207,25 +229,5 @@ def g_series_convolution(spec: ColoredSpec, n_max: int,
 
 
 def series_to_csv(series: ExactSeries) -> str:
-    """CSV export: header ``n,g`` and exact decimal integers."""
-    buf = io.StringIO()
-    buf.write("n,g\n")
-    for n, g in enumerate(series.coeffs):
-        buf.write(f"{n},{g}\n")
-    return buf.getvalue()
-
-
-def series_to_raw(series: ExactSeries) -> str:
-    """Newline-delimited decimal coefficients, for piping downstream."""
-    return "\n".join(str(g) for g in series.coeffs) + "\n"
-
-
-def series_to_json(series: ExactSeries) -> str:
-    """JSON export with coefficients as decimal strings (exact at any size)."""
-    return json.dumps(
-        {
-            "spec": {"s": list(series.spec.s), "l": list(series.spec.l)},
-            "method": series.method.value,
-            "g": [str(g) for g in series.coeffs],
-        }
-    )
+    """CSV export, header ``n,g``: the text ``colorpart exact --format csv`` writes."""
+    return "n,g\n" + "".join(f"{n},{g}\n" for n, g in enumerate(series.coeffs))

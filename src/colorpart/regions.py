@@ -10,13 +10,13 @@ the sum exactly into the box |u - v| < v**eta (main) and its complement
 from __future__ import annotations
 
 import bisect
-import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, _fold, check_fold_budget
+from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, _fold, check_budget, check_fold_budget
 from .precision import working_precision
 from .specs import AsymptoticConstants, ColoredSpec, require_eta
 
@@ -37,21 +37,6 @@ class RegionSplitReport:
     def tail_fraction(self) -> mpmath.mpf:
         with working_precision():
             return +(mpmath.mpf(self.tail_sum) / self.total)
-
-    def to_json(self) -> str:
-        # Exact integers as decimal strings; g(n) at n in the hundreds already
-        # overflows a double.
-        return json.dumps(
-            {
-                "spec": {"s": list(self.spec.s), "l": list(self.spec.l)},
-                "n": self.n,
-                "eta": [self.eta.numerator, self.eta.denominator],
-                "v": [[vi.numerator, vi.denominator] for vi in self.v],
-                "main_sum": str(self.main_sum),
-                "tail_sum": str(self.tail_sum),
-                "tail_fraction": mpmath.nstr(self.tail_fraction(), 17),
-            }
-        )
 
 
 def saddle_tuple(spec: ColoredSpec, n: int) -> list[Fraction]:
@@ -87,6 +72,23 @@ def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
     return lo, hi
 
 
+def check_split_budget(spec: ColoredSpec, n: int, eta: Fraction, budget: int) -> None:
+    """Raise TooLarge if splitting g(n) at eta takes over ``budget`` steps.
+
+    Beside the fold steps, each end of a color's box costs about
+    bits(n//s + 1) box tests, whose powers reach B = (a + b) * bits(n * vd)
+    bits for eta = a/b, v = vn/vd; one is counted as (B/64)**1.5 word
+    products, just under Karatsuba's exponent log2(3).
+    """
+    free = spec.moduli[1:]
+    check_fold_budget(free, n, budget)
+    est = 0
+    for si, vi in zip(free, saddle_tuple(spec, n)[1:]):
+        words = (eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
+        est += 2 * (n // si + 1).bit_length() * math.isqrt(words**3)
+    check_budget(est, "box-test steps", budget)
+
+
 def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries,
                  budget: int = DEFAULT_FOLD_BUDGET) -> RegionSplitReport:
     """Exactly split the tuple sum for g(n) at box-width exponent eta.
@@ -98,18 +100,18 @@ def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries,
     the main sum are one fold over the free colors, the main one with each
     color's range cut to its box; the tail is their difference.  Raises
     WindowUndefined or EtaOutOfWindow (from ``require_eta``) for an
-    inadmissible eta, and TooLarge when the whole fold's estimated step
-    count exceeds ``budget``.
+    inadmissible eta, and TooLarge when ``check_split_budget``'s estimate
+    exceeds ``budget``.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if len(ptable) <= n:
         raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
     eta = require_eta(spec, eta)
+    check_split_budget(spec, n, eta, budget)
 
     v = saddle_tuple(spec, n)
     free = sorted(zip(spec.moduli[1:], v[1:]), reverse=True)
-    check_fold_budget([si for si, _ in free], n, budget)
 
     p = ptable.coeffs
     total = _fold(n, p, [(si, 0, n // si) for si, _ in free])

@@ -183,21 +183,3 @@ ALL_CHECKS = [
     check_region_decomposition,
     check_sum_vs_integral,
 ]
-
-
-def run_all(out=None) -> bool:
-    """Run the full battery, printing TAP; returns overall pass/fail."""
-    import sys
-
-    out = out or sys.stdout
-    print(f"1..{len(ALL_CHECKS)}", file=out)
-    all_ok = True
-    for idx, check in enumerate(ALL_CHECKS, start=1):
-        try:
-            name, ok, detail = check()
-        except Exception as exc:  # a crash is a failure, not an abort
-            name, ok, detail = check.__name__, False, f"raised {exc!r}"
-        status = "ok" if ok else "not ok"
-        print(f"{status} {idx} - {name}: {detail}", file=out)
-        all_ok &= ok
-    return all_ok

@@ -186,9 +186,12 @@ def eta_window(spec: ColoredSpec) -> EtaWindow:
 
 
 def require_eta(spec: ColoredSpec, eta) -> Fraction:
-    """Validate eta against the spec's window and return it as a Fraction."""
+    """Check eta, a number or rational string, against the window; return a Fraction."""
+    try:
+        eta = Fraction(eta)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"eta must be a rational number, got {eta!r}") from None
     window = eta_window(spec)
-    eta = Fraction(eta)
     if not window.contains(eta):
         raise EtaOutOfWindow(
             f"eta={float(eta):.6f} outside ({window.lower}, {window.upper})"

@@ -5,7 +5,6 @@ import pytest
 
 import colorpart as cp
 from colorpart import errors
-from colorpart.asymptotic import rows_to_csv, rows_to_json
 
 
 class TestLnOfBigint:
@@ -170,20 +169,3 @@ class TestGrids:
     def test_geometric_grid_validation(self):
         with pytest.raises(ValueError):
             cp.geometric_grid(0, 10)
-
-
-class TestRowSerialization:
-    def test_csv_header_and_digits(self, remark_spec):
-        rows = cp.comparison_table(remark_spec, [9])
-        text = rows_to_csv(rows)
-        header, line, _ = text.split("\n")
-        assert header == "n,ln_exact,ln_main,rel_err"
-        assert line.startswith("9,")
-
-    def test_json_keys(self, remark_spec):
-        import json
-
-        rows = cp.comparison_table(remark_spec, [9, 36])
-        payload = json.loads(rows_to_json(rows))
-        assert [r["n"] for r in payload] == [9, 36]
-        assert set(payload[0]) == {"n", "ln_exact", "ln_main", "rel_err"}

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from colorpart import cli, exact
+from colorpart import cli, exact, selftest
 
 GOLDEN_EXACT_CSV = "n,g\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n"
 GOLDEN_QUADFORM_SEED_7 = """1..5
@@ -22,6 +22,68 @@ ok 5 - det k=3 rel_err=2.135e-16
 """
 
 
+# The output of every command in every --format, byte for byte: the CLI's
+# contract with scripts that read it.
+EXACT_TEXT = {
+    "csv": "n,g\n0,1\n1,2\n2,5\n3,12\n",
+    "raw": "1\n2\n5\n12\n",
+    "json": '{"spec": {"s": [1, 3], "l": [2, 2]}, "method": "METHOD", "g": ["1", "2", "5", "12"]}\n',
+}
+GOLDEN = [
+    pytest.param(["exact", "--spec", "s=1,3;l=2,2", "--n-max", "3", "--method", method,
+                  "--format", fmt],
+                 EXACT_TEXT[fmt].replace("METHOD", "divisor" if method == "all" else method),
+                 id=f"exact-{method}-{fmt}")
+    for method in ("divisor", "euler", "convolution", "all") for fmt in EXACT_TEXT
+] + [
+    pytest.param(["exact", "--spec", "s=1;l=5000", "--n-max", "5", "--format", "json"],
+                 '{"spec": {"s": [1], "l": [5000]}, "method": "divisor", "g": ["1", "5000", '
+                 '"12507500", "20870840000", "26135478133750", "26198140718756000"]}\n',
+                 id="exact-beyond-double"),
+    pytest.param(["asymptotic", "--spec", "s=1,3;l=2,2", "--n-list", "9,36"],
+                 "a,8/3\nd,-7/4\nc,0.136082763487954338788738\n"
+                 "exp_coeff,4.188790204786390984616858\n"
+                 "ln_main(9),6.726735580738651842165731\nln_main(36),16.86709106313801621305599\n",
+                 id="asymptotic-csv"),
+    pytest.param(["asymptotic", "--spec", "s=1,3;l=2,2", "--n-list", "9,36", "--format", "json"],
+                 '{"spec": {"s": [1, 3], "l": [2, 2]}, "a": [8, 3], "d": [-7, 4], '
+                 '"c": "0.136082763487954338788738", "exp_coeff": "4.188790204786390984616858", '
+                 '"ln_main": {"9": "6.726735580738651842165731", '
+                 '"36": "16.86709106313801621305599"}}\n',
+                 id="asymptotic-json"),
+    pytest.param(["compare", "--spec", "s=1;l=1", "--n-list", "16,64"],
+                 "n,ln_exact,ln_main,rel_err\n"
+                 "16,5.442417710521793540562542,5.552209413601186062151276,"
+                 "-0.1039792457763152381423892\n"
+                 "64,14.37033201429385040804549,14.4263136937762082076691,"
+                 "-0.0544435411845012694366426\n",
+                 id="compare-csv"),
+    pytest.param(["compare", "--spec", "s=1;l=1", "--n-list", "16,64", "--format", "json"],
+                 '[{"n": 16, "ln_exact": "5.442417710521793540562542", '
+                 '"ln_main": "5.552209413601186062151276", "rel_err": "-0.1039792457763152381423892"}, '
+                 '{"n": 64, "ln_exact": "14.37033201429385040804549", '
+                 '"ln_main": "14.4263136937762082076691", "rel_err": "-0.0544435411845012694366426"}]\n',
+                 id="compare-json"),
+    pytest.param(["fit", "--spec", "s=1;l=1", "--n-geom", "64:1024"],
+                 "slope,intercept,r_squared,n_min,n_max\n"
+                 "-0.4953268057627926,-0.8493489021229199,0.9999961284684578,64,1024\n",
+                 id="fit-csv"),
+    pytest.param(["fit", "--spec", "s=1;l=1", "--n-geom", "64:1024", "--format", "json"],
+                 '{"slope": -0.4953268057627926, "intercept": -0.8493489021229199, '
+                 '"r_squared": 0.9999961284684578, "n_range": [64, 1024]}\n',
+                 id="fit-json"),
+    pytest.param(["regions", "--spec", "s=1;l=2", "--n", "100"],
+                 '{"spec": {"s": [1], "l": [2]}, "n": 100, "eta": [4, 5], "v": [[50, 1], [50, 1]], '
+                 '"main_sum": "1497364147076", "tail_sum": "346281673690", '
+                 '"tail_fraction": "0.18782440194837776"}\n',
+                 id="regions"),
+    pytest.param(["quadform", "--k", "3", "--trials", "3", "--rng-seed", "0"],
+                 "1..3\nok 1 - det k=3 rel_err=1.887e-16\nok 2 - det k=2 rel_err=3.396e-16\n"
+                 "ok 3 - det k=2 rel_err=1.805e-16\n",
+                 id="quadform"),
+]
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr()
@@ -34,6 +96,14 @@ def forbid(monkeypatch, *names):
         def called(*args, name=name, **kwargs):
             raise AssertionError(f"exact.{name} called")
         monkeypatch.setattr(exact, name, called)
+
+
+@pytest.mark.parametrize("argv,text", GOLDEN)
+def test_golden_output(capsys, tmp_path, argv, text):
+    assert run(capsys, *argv) == (0, text, "")
+    path = tmp_path / "out.txt"
+    assert run(capsys, *argv, "--output", str(path)) == (0, "", "")
+    assert path.read_text() == text
 
 
 class TestExact:
@@ -79,14 +149,18 @@ class TestExact:
                            "--method", "convolution", "--budget", "10")
         assert code == 4
 
-    @pytest.mark.parametrize("method", ["convolution", "all"])
+    @pytest.mark.parametrize("method", ["convolution", "all", "divisor", "euler"])
     def test_budget_refused_before_any_work(self, capsys, monkeypatch, method):
-        forbid(monkeypatch, "partition_table", "g_series_divisor", "g_series_euler")
+        forbid(monkeypatch, "partition_table", "g_series_convolution", "g_series_divisor",
+               "g_series_euler")
         code, out, err = run(capsys, "exact", "--spec", "s=1;l=3", "--n-max", "500",
                              "--method", method, "--budget", "10")
-        # 3 colors * 501**2: the estimate at n_max.
+        # The fold at n_max: 3 colors * 501**2; the divisor recurrence: 500*501/2;
+        # the Euler product: 3 colors * (500*501 - 500*501/2).
+        estimate = {"divisor": "125250 divisor", "euler": "375750 euler"}.get(method,
+                                                                           "753003 fold")
         assert (code, out) == (4, "")
-        assert err == "error: estimated 753003 fold steps exceeds budget 10\n"
+        assert err == f"error: estimated {estimate} steps exceeds budget 10\n"
 
     def test_disagreement_exit_3(self, capsys, monkeypatch):
         euler = exact.g_series_euler
@@ -154,6 +228,23 @@ class TestAsymptotic:
 
 
 class TestCompareAndFit:
+    @pytest.mark.parametrize("command", ["asymptotic", "compare"])
+    def test_n_list_skips_empty_entries(self, capsys, command):
+        argv = [command, "--spec", "s=1;l=1", "--n-list"]
+        code, out, err = run(capsys, *argv, "5,,6")
+        assert (code, out, err) == run(capsys, *argv, "5,6")
+        assert (code, err) == (0, "") and "6" in out
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("asymptotic", "--n-list", "5,x"), ("compare", "--n-list", "5,x"),
+        ("fit", "--n-list", "8,1e3"), ("compare", "--n-geom", "256"),
+        ("fit", "--n-geom", "8:x"), ("compare", "--n-geom", "1:2:4"),
+    ])
+    def test_bad_n_values_name_the_flag(self, capsys, command, flag, value):
+        code, out, err = run(capsys, command, "--spec", "s=1;l=1", flag, value)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {flag} must be ") and err.endswith(f"got {value!r}\n")
+
     def test_compare_csv_schema(self, capsys):
         code, out, _ = run(capsys, "compare", "--spec", "s=1;l=1",
                            "--n-list", "16,64")
@@ -223,6 +314,20 @@ class TestRegions:
         g200 = cp.g_series_divisor(cp.validate([1], [6]), 200)[200]
         assert int(obj["main_sum"]) + int(obj["tail_sum"]) == g200
 
+    def test_fine_grained_eta_refused_before_the_table(self, capsys, monkeypatch):
+        # The box test raises integers to the power 10**8 at this eta.
+        forbid(monkeypatch, "partition_table")
+        code, out, err = run(capsys, "regions", "--spec", "s=1;l=2", "--n", "100",
+                             "--eta", "0.80000001")
+        assert (code, out) == (4, "")
+        assert err == ("error: estimated 1222964710828 box-test steps exceeds budget "
+                       "1000000000\n")
+
+    @pytest.mark.parametrize("eta", ["1/0", "abc"])
+    def test_non_rational_eta_exit_2(self, capsys, eta):
+        assert run(capsys, "regions", "--spec", "s=1;l=2", "--n", "50", "--eta", eta) == (
+            2, "", f"error: eta must be a rational number, got {eta!r}\n")
+
     def test_classical_rejected(self, capsys):
         code, _, _ = run(capsys, "regions", "--spec", "s=1;l=1",
                          "--n", "50", "--eta", "4/5")
@@ -252,6 +357,29 @@ class TestQuadform:
             0, GOLDEN_QUADFORM_SEED_7, "")
         assert run(capsys, "quadform", "--k", "3", "--trials", "5", "--rng-seed", "0") == (
             0, GOLDEN_QUADFORM_K3, "")
+
+
+class TestSelftest:
+    def test_each_line_goes_out_as_its_check_ends(self, capsys, monkeypatch):
+        before = []
+
+        def passes():
+            return "passes", True, "fine"
+
+        def crashes():
+            before.append(capsys.readouterr().out)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(selftest, "ALL_CHECKS", [passes, crashes])
+        assert run(capsys, "selftest") == (
+            1, "not ok 2 - crashes: raised RuntimeError('boom')\n", "")
+        assert before == ["1..2\nok 1 - passes: fine\n"]
+
+    def test_output_opened_before_the_first_check(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "tap.txt"
+        monkeypatch.setattr(selftest, "ALL_CHECKS", [lambda: ("opened", path.exists(), "")])
+        assert run(capsys, "selftest", "--output", str(path)) == (0, "", "")
+        assert path.read_text() == "1..1\nok 1 - opened: \n"
 
 
 class TestUsage:

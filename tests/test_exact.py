@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import colorpart as cp
 from colorpart import errors, selftest
-from colorpart.exact import series_to_csv, series_to_json, series_to_raw
+from colorpart.exact import series_to_csv
 
 
 def enumerate_partitions(n, max_part=None):
@@ -211,18 +211,6 @@ class TestExport:
     def test_csv(self, remark_spec):
         series = cp.g_series_divisor(remark_spec, 3)
         assert series_to_csv(series) == "n,g\n0,1\n1,2\n2,5\n3,12\n"
-
-    def test_raw(self, remark_spec):
-        series = cp.g_series_divisor(remark_spec, 3)
-        assert series_to_raw(series) == "1\n2\n5\n12\n"
-
-    def test_json_exact_strings(self, classical_spec):
-        import json
-
-        series = cp.g_series_divisor(classical_spec, 300)
-        obj = json.loads(series_to_json(series))
-        assert obj["method"] == "divisor"
-        assert int(obj["g"][300]) == series[300]
 
     def test_bad_leading_coefficient_rejected(self, classical_spec):
         with pytest.raises(ValueError):

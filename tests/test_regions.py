@@ -1,4 +1,3 @@
-import json
 import math
 from fractions import Fraction
 
@@ -150,19 +149,20 @@ class TestRegionSplit:
             cp.region_split(cp.validate([1], [2]), 50, Fraction(9, 10),
                             cp.partition_table(50))
 
+    def test_box_test_cost_is_budgeted(self):
+        spec = cp.validate([1], [2])
+        ptable = cp.partition_table(100)
+        # Fraction(0.8) has a 2**52 denominator: the box test's powers would not end.
+        with pytest.raises(errors.TooLarge, match="box-test steps"):
+            cp.region_split(spec, 50, 0.8, ptable)
+        rep = cp.region_split(spec, 100, Fraction(8001, 10000), ptable)
+        assert rep.total == cp.g_series_divisor(spec, 100)[100]
+
     def test_budget(self):
         spec = cp.validate([1], [3])
         with pytest.raises(errors.TooLarge):
             cp.region_split(spec, 200, Fraction(4, 5), cp.partition_table(200),
                             budget=100)
-
-    def test_json_round_trip(self):
-        spec = cp.validate([1], [2])
-        rep = cp.region_split(spec, 50, Fraction(4, 5), cp.partition_table(50))
-        obj = json.loads(rep.to_json())
-        assert int(obj["main_sum"]) == rep.main_sum
-        assert int(obj["tail_sum"]) == rep.tail_sum
-        assert obj["eta"] == [4, 5]
 
 
 class TestTailBoundCertificate:
