@@ -10,6 +10,8 @@ near-saddle region decomposition, sum-to-integral bounds, and Gaussian
 integrals of coupled positive-definite quadratic forms.
 """
 
+import importlib
+
 from .asymptotic import (
     ComparisonRow,
     ExponentFit,
@@ -29,15 +31,6 @@ from .exact import (
     partition_table,
 )
 from .precision import default_bits, set_default_bits, working_precision
-from .quadform import (
-    QuadFormSpec,
-    det_closed_form,
-    gaussian_integral_monte_carlo,
-    gaussian_integral_quadrature,
-    gaussian_quadform_integral,
-    sum_vs_integral,
-    truncation_error_bound,
-)
 from .regions import (
     RegionSplitReport,
     region_split,
@@ -56,6 +49,30 @@ from .specs import (
 )
 
 __version__ = "0.1.0"
+
+# quadform needs numpy and scipy, which take most of a cold start; it is
+# imported when one of its names is first looked up (PEP 562).
+_QUADFORM_NAMES = frozenset({
+    "QuadFormSpec",
+    "det_closed_form",
+    "gaussian_integral_monte_carlo",
+    "gaussian_integral_quadrature",
+    "gaussian_quadform_integral",
+    "sum_vs_integral",
+    "truncation_error_bound",
+})
+
+
+def __getattr__(name):
+    if name == "quadform" or name in _QUADFORM_NAMES:
+        # Not ``from . import quadform``: its hasattr check would call back here.
+        quadform = importlib.import_module(".quadform", __name__)
+        return quadform if name == "quadform" else getattr(quadform, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_QUADFORM_NAMES, "quadform"})
 
 __all__ = [
     "AsymptoticConstants",

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import mpmath
 
-from . import asymptotic, exact, quadform, regions, selftest, specs
+from . import asymptotic, exact, regions, specs
 from .errors import ColorpartError, InsufficientData, OracleMismatch, TooLarge
 from .precision import set_default_bits
 
@@ -160,7 +160,11 @@ def _comparison_rows(args):
     spec = _resolve_spec(args)
     if not (args.n_geom or args.n_list):
         raise InsufficientData("provide --n-geom START:STOP or --n-list N1,N2,...")
-    return asymptotic.comparison_table(spec, _parse_ns(args))
+    ns = _parse_ns(args)
+    # comparison_table words the error for an empty or non-positive list.
+    if ns and min(ns) >= 1:
+        exact.check_series_budget("divisor", spec, max(ns), args.budget)
+    return asymptotic.comparison_table(spec, ns)
 
 
 def cmd_compare(args) -> int:
@@ -196,6 +200,8 @@ def cmd_regions(args) -> int:
 
 
 def cmd_quadform(args) -> int:
+    from . import quadform  # numpy and scipy load only for this command and selftest
+
     results = []
     for k, closed, elim in quadform.det_trials(args.trials, args.k, args.rng_seed):
         rel = abs(closed - elim) / abs(elim)
@@ -205,6 +211,8 @@ def cmd_quadform(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    from . import selftest
+
     failed = []
 
     def results():
@@ -255,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-list", default=None, help="comma-separated n values")
         p.add_argument("--n-geom", default=None, metavar="START:STOP",
                        help="geometric grid by doubling")
+        p.add_argument("--budget", type=int, default=exact.DEFAULT_FOLD_BUDGET)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         if name == "fit":
             p.add_argument("--assert-slope-max", type=float, default=None,

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from colorpart import cli, exact, selftest
+from colorpart import asymptotic, cli, exact, selftest
 
 GOLDEN_EXACT_CSV = "n,g\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n"
 GOLDEN_QUADFORM_SEED_7 = """1..5
@@ -252,6 +252,24 @@ class TestCompareAndFit:
         lines = out.splitlines()
         assert lines[0] == "n,ln_exact,ln_main,rel_err"
         assert lines[1].startswith("16,") and lines[2].startswith("64,")
+
+    @pytest.mark.parametrize("command,flag,value", [("compare", "--n-list", "200000"),
+                                                    ("fit", "--n-geom", "25000:200000")])
+    def test_over_budget_exits_4_before_the_series(self, capsys, monkeypatch,
+                                                   command, flag, value):
+        forbid(monkeypatch, "g_series_divisor")
+        # comparison_table calls the recurrence by the name it imported.
+        monkeypatch.setattr(asymptotic, "g_series_divisor", exact.g_series_divisor)
+        assert run(capsys, command, "--spec", "s=1;l=1", flag, value) == (
+            4, "", "error: estimated 20000100000 divisor steps exceeds budget 1000000000\n")
+        assert run(capsys, command, "--spec", "s=1;l=1", "--n-list", "64,512",
+                   "--budget", "1000") == (
+            4, "", "error: estimated 131328 divisor steps exceeds budget 1000\n")
+
+    @pytest.mark.parametrize("value", [",", "0,200000", "-5"])
+    def test_bad_n_list_is_reported_before_the_budget(self, capsys, value):
+        assert run(capsys, "compare", "--spec", "s=1;l=1", "--n-list", value,
+                   "--budget", "0") == (2, "", "error: need n values >= 1\n")
 
     def test_fit_passes_assertion(self, capsys):
         code, out, _ = run(capsys, "fit", "--spec", "s=1;l=1",
