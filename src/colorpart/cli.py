@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import sys
@@ -39,6 +40,20 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                    help="significand bits for extended-precision work (default 128)")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write results to PATH instead of stdout")
+
+
+def _budget(text: str) -> int:
+    """The --budget value: a step count, so a negative one is a usage error.
+
+    A non-integer gets the message argparse gives any ``type=int`` option.
+    """
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
+    return budget
 
 
 def _resolve_spec(args) -> specs.ColoredSpec:
@@ -200,7 +215,7 @@ def cmd_regions(args) -> int:
 
 
 def cmd_quadform(args) -> int:
-    from . import quadform  # numpy and scipy load only for this command and selftest
+    from . import quadform  # numpy loads only for this command and selftest
 
     results = []
     for k, closed, elim in quadform.det_trials(args.trials, args.k, args.rng_seed):
@@ -229,7 +244,9 @@ def cmd_selftest(args) -> int:
     return EXIT_ASSERTION if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="colorpart",
         description="Exact and asymptotic evaluation of colored partition counts",
@@ -242,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--method", choices=["divisor", "euler", "convolution", "all"],
                    default="divisor")
-    p.add_argument("--budget", type=int, default=exact.DEFAULT_FOLD_BUDGET)
+    p.add_argument("--budget", type=_budget, default=exact.DEFAULT_FOLD_BUDGET)
     p.add_argument("--format", choices=["csv", "json", "raw"], default="csv")
     p.set_defaults(func=cmd_exact)
 
@@ -263,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-list", default=None, help="comma-separated n values")
         p.add_argument("--n-geom", default=None, metavar="START:STOP",
                        help="geometric grid by doubling")
-        p.add_argument("--budget", type=int, default=exact.DEFAULT_FOLD_BUDGET)
+        p.add_argument("--budget", type=_budget, default=exact.DEFAULT_FOLD_BUDGET)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         if name == "fit":
             p.add_argument("--assert-slope-max", type=float, default=None,
@@ -275,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--eta", default="4/5", help="box-width exponent (rational)")
-    p.add_argument("--budget", type=int, default=exact.DEFAULT_FOLD_BUDGET)
+    p.add_argument("--budget", type=_budget, default=exact.DEFAULT_FOLD_BUDGET)
     p.set_defaults(func=cmd_regions, format="json")
 
     p = sub.add_parser("quadform", help="determinant identity property suite (TAP)")

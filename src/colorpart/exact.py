@@ -5,9 +5,9 @@ Three independent series engines, each returning g(0..N):
 * ``g_series_divisor``     -- divisor-sum recurrence from the logarithmic
   derivative of the generating product (the workhorse, O(N^2)).
 * ``g_series_euler``       -- direct truncated Euler-product multiplication.
-* ``g_series_convolution`` -- ``g_via_tuple_convolution`` at each n: the
-  convolution of plain partition counts over constrained tuples, folded
-  one color at a time.
+* ``g_series_convolution`` -- the convolution of plain partition counts
+  over constrained tuples: the free colors are folded once, one color at
+  a time, and each g(n) closes with one dot product against p.
 
 Each serves as an oracle for the others; the test suite enforces three-way
 agreement.  Plain p(n), the s=1;l=1 series, comes from the pentagonal-number
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import TooLarge
 from .specs import ColoredSpec, validate
@@ -172,14 +173,15 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
     check_budget(est, f"{method} steps", budget)
 
 
-def _fold(n: int, p, colors) -> int:
-    """Sum of p[u_0] * prod_i p[u_i] over tuples with u_0 + sum_i s_i * u_i = n.
+def _product(n: int, p, colors) -> list[int]:
+    """Coefficients 0..n of the product over ``colors`` of sum_u p[u] * z**(s*u).
 
-    ``colors`` holds one range ``(s_i, lo_i, hi_i)`` of u_i per color, and u_0
-    is one more, unrestricted, s = 1 color.  The colors are folded in the
-    given order, each as a stride-s convolution with p that skips zero
-    entries, so passing large moduli first keeps the early arrays sparse.
-    The u_0 color then closes the sum as one dot product against p.
+    ``colors`` holds one range ``(s_i, lo_i, hi_i)`` of u_i per color.  The
+    colors are folded in the given order, each as a stride-s convolution with
+    p that skips zero entries, so passing large moduli first keeps the early
+    arrays sparse.  With full ranges ``(s, 0, m // s)`` for some m >= n, the
+    result is the first n + 1 entries of the same product at m: s*u <= t <= n
+    already bounds every u that reaches entry t.
     """
     acc = [0] * (n + 1)
     acc[0] = 1
@@ -191,40 +193,64 @@ def _fold(n: int, p, colors) -> int:
                 for j, pu in zip(range(t + s * lo, n + 1, s), terms):
                     out[j] += base * pu
         acc = out
-    return sum(a * p[n - t] for t, a in enumerate(acc))
+    return acc
+
+
+def _fold(n: int, p, colors) -> int:
+    """Sum of p[u_0] * prod_i p[u_i] over tuples with u_0 + sum_i s_i * u_i = n.
+
+    u_i runs over its color's range in ``colors`` (see ``_product``), and u_0
+    is one more, unrestricted, s = 1 color that closes the sum as one dot
+    product against p.
+    """
+    return sum(map(mul, _product(n, p, colors), p[n::-1]))
+
+
+def _free_colors(spec: ColoredSpec, n: int) -> list[tuple[int, int, int]]:
+    """Full ranges at n of every color but the last s = 1 one, which closes the fold."""
+    return [(si, 0, n // si) for si in sorted(spec.moduli, reverse=True)[:-1]]
 
 
 def g_via_tuple_convolution(spec: ColoredSpec, n: int, ptable: ExactSeries,
-                            budget: int = DEFAULT_FOLD_BUDGET) -> int:
+                            budget: int = DEFAULT_FOLD_BUDGET, *, free=None) -> int:
     """g(n) as the sum over constrained tuples of products of p-values.
 
-    The tuple sum is evaluated by folding one color at a time (a stride-s
-    convolution with the p-series), in decreasing modulus order so the early
-    intermediate arrays stay sparse.  Raises TooLarge when the estimated
-    fold-step count exceeds ``budget``.
+    The free colors fold one at a time (a stride-s convolution with the
+    p-series), in decreasing modulus order so the early intermediate arrays
+    stay sparse, and the sum closes with a dot product against p.  ``free``
+    is that product, ``_product`` over ``_free_colors(spec, m)``, at any
+    m >= n; given it, only the dot product runs.  Otherwise the fold runs at
+    n and raises TooLarge when its estimated step count exceeds ``budget``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if len(ptable) <= n:
         raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
-    colors = sorted(spec.moduli, reverse=True)
-    check_fold_budget(colors, n, budget)
-    # s[0] = 1, so the last color is an s = 1 color: the fold's closing one.
-    return _fold(n, ptable.coeffs, [(si, 0, n // si) for si in colors[:-1]])
+    p = ptable.coeffs
+    if free is None:
+        check_fold_budget(spec.moduli, n, budget)
+        free = _product(n, p, _free_colors(spec, n))
+    elif len(free) <= n:
+        raise ValueError(f"free-color product covers 0..{len(free) - 1}, need {n}")
+    return sum(map(mul, free, p[n::-1]))  # p[n::-1] ends the sum at t = n
 
 
 def g_series_convolution(spec: ColoredSpec, n_max: int,
                          budget: int = DEFAULT_FOLD_BUDGET) -> ExactSeries:
-    """g(0..n_max) by one tuple convolution per n over a shared p-table.
+    """g(0..n_max) from one fold of the free colors and one dot product per n.
 
-    The fold at n_max is the largest, so its budget is checked first: an
-    over-budget request raises TooLarge before the table is built.
+    The product over the free colors does not depend on n, so it is folded
+    once at n_max and each g(n) closes against its prefix.  The fold budget
+    at n_max is checked first: an over-budget request raises TooLarge before
+    the p-table is built.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     check_fold_budget(spec.moduli, n_max, budget)
     ptable = partition_table(n_max)
-    coeffs = tuple(g_via_tuple_convolution(spec, n, ptable, budget) for n in range(n_max + 1))
+    free = _product(n_max, ptable.coeffs, _free_colors(spec, n_max))
+    coeffs = tuple(g_via_tuple_convolution(spec, n, ptable, budget, free=free)
+                   for n in range(n_max + 1))
     return ExactSeries(spec=spec, coeffs=coeffs, method=Method.TUPLE_CONVOLUTION)
 
 

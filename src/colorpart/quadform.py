@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 
 from .errors import QuadratureFailure, RadiusTooSmall, SumIntegralBoundError
 
@@ -104,6 +103,8 @@ def gaussian_integral_quadrature(
     Truncates to the box [-radius, radius]^k; ``truncation_error_bound``
     justifies the default radius against the 1e-6 comparison tolerance.
     """
+    from scipy import integrate  # scipy loads only for the two quadrature paths
+
     truncation_error_bound(radius)
     if q.k == 1:
         a = q.a0 + q.a_rest[0]
@@ -172,6 +173,8 @@ def sum_vs_integral(
         raise ValueError("interval must have length >= 1")
     if m < 0:
         raise ValueError("critical-point count must be >= 0")
+    from scipy import integrate
+
     lattice = sum(f(n) for n in range(math.ceil(a), math.floor(b) + 1))
     val, err = integrate.quad(f, a, b, epsrel=1e-10, limit=500)
     if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):

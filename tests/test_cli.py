@@ -162,6 +162,30 @@ class TestExact:
         assert (code, out) == (4, "")
         assert err == f"error: estimated {estimate} steps exceeds budget 10\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["exact", "--spec", "s=1;l=1", "--n-max", "5"],
+        ["compare", "--spec", "s=1;l=1", "--n-list", "16"],
+        ["fit", "--spec", "s=1;l=1", "--n-geom", "64:1024"],
+        ["regions", "--spec", "s=1;l=2", "--n", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_budget_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--budget", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage: colorpart {argv[0]} ")
+        assert err.endswith(f"colorpart {argv[0]}: error: argument --budget: "
+                            f"must be >= 0, got -1\n")
+
+    def test_budget_not_an_integer(self, capsys):
+        code, _, err = run(capsys, "exact", "--spec", "s=1;l=1", "--n-max", "5",
+                           "--budget", "x")
+        assert code == 2
+        assert err.endswith("colorpart exact: error: argument --budget: "
+                            "invalid int value: 'x'\n")
+
+    def test_zero_budget_refuses_any_work(self, capsys):
+        assert run(capsys, "exact", "--spec", "s=1;l=1", "--n-max", "5", "--budget", "0") == (
+            4, "", "error: estimated 15 divisor steps exceeds budget 0\n")
+
     def test_disagreement_exit_3(self, capsys, monkeypatch):
         euler = exact.g_series_euler
 
@@ -401,6 +425,18 @@ class TestSelftest:
 
 
 class TestUsage:
+    def test_parser_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_shared_parser_keeps_no_state_between_calls(self, capsys):
+        good = ["exact", "--spec", "s=1,3;l=2,2", "--n-max", "6", "--method", "all"]
+        first = run(capsys, *good)
+        assert first[0] == 0
+        assert run(capsys, "exact", "--spec", "s=1;l=1", "--n-max", "x")[0] == 2
+        again = run(capsys, *good)
+        cli.build_parser.cache_clear()
+        assert run(capsys, *good) == again == first
+
     def test_unknown_command(self, capsys):
         code = cli.main(["frobnicate"])
         capsys.readouterr()

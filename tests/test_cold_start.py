@@ -1,4 +1,5 @@
-"""numpy and scipy load only for the quadform paths, and the lazy paths work.
+"""numpy and scipy load only for the quadform paths, scipy only for its
+quadrature, and the lazy paths work.
 
 The cold checks run in a fresh interpreter: the suite's conftest has
 already imported ``selftest`` and with it numpy.
@@ -36,6 +37,16 @@ def test_import_loads_no_numpy(module):
                               f"import colorpart; colorpart.det_closed_form; "
                               f"print('colorpart.quadform' in sys.modules)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\nTrue\n", "")
+
+
+def test_scipy_loads_only_for_quadrature():
+    proc = fresh_python("-c", "import sys; from colorpart import quadform; "
+                              "quadform.det_trials(3, 4, 0); "
+                              "print('scipy.integrate' in sys.modules); "
+                              "q = quadform.QuadFormSpec(1.0, (1.0,)); "
+                              "quadform.gaussian_integral_quadrature(q); "
+                              "print('scipy.integrate' in sys.modules)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
 
 
 def test_quadform_command_from_a_cold_interpreter(capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import colorpart as cp
-from colorpart import errors, selftest
+from colorpart import errors, exact, selftest
 from colorpart.exact import series_to_csv
 
 
@@ -143,6 +143,36 @@ class TestTupleConvolution:
         assert (series.spec, series.method) == (remark_spec, cp.Method.TUPLE_CONVOLUTION)
         assert series.coeffs == cp.g_series_euler(remark_spec, 40).coeffs
 
+    def test_series_folds_the_free_colors_once(self, remark_spec, monkeypatch):
+        calls, product = [], exact._product
+
+        def counted(*args):
+            calls.append(args[0])
+            return product(*args)
+
+        monkeypatch.setattr(exact, "_product", counted)
+        series = cp.g_series_convolution(remark_spec, 120)
+        assert calls == [120]
+        assert series.coeffs == cp.g_series_divisor(remark_spec, 120).coeffs
+
+    @pytest.mark.parametrize("s,l", [([1], [1]), ([1], [3]), ([1, 3], [2, 2]),
+                                     ([1, 2, 5], [3, 3, 3]), ([1, 4, 7], [1, 2, 1])])
+    def test_free_product_prefix(self, s, l, ptable_2000):
+        # The product of the free colors at 120 closes every g(n), n <= 120,
+        # to the same integer as the fold at n itself.
+        spec = cp.validate(s, l)
+        free = exact._product(120, ptable_2000.coeffs, exact._free_colors(spec, 120))
+        for n in range(121):
+            assert (cp.g_via_tuple_convolution(spec, n, ptable_2000, free=free)
+                    == cp.g_via_tuple_convolution(spec, n, ptable_2000))
+
+    def test_free_product_too_short(self, remark_spec, ptable_2000):
+        free = exact._product(10, ptable_2000.coeffs, exact._free_colors(remark_spec, 10))
+        assert cp.g_via_tuple_convolution(remark_spec, 10, ptable_2000, free=free) == (
+            cp.g_series_divisor(remark_spec, 10)[10])
+        with pytest.raises(ValueError, match="covers 0..10, need 11"):
+            cp.g_via_tuple_convolution(remark_spec, 11, ptable_2000, free=free)
+
 
 class TestCrossMethodAgreement:
     @pytest.mark.parametrize("seed", [2, 7])
@@ -165,6 +195,18 @@ class TestCrossMethodAgreement:
             cp.g_series_divisor(spec, n_max).coeffs
             == cp.g_series_euler(spec, n_max).coeffs
         )
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.sets(st.integers(min_value=2, max_value=7), max_size=2),
+        st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=3),
+        st.integers(min_value=0, max_value=80),
+    )
+    def test_convolution_equals_euler_and_divisor(self, extra, mults, n_max):
+        spec = cp.validate([1] + sorted(extra), mults[: 1 + len(extra)])
+        convolution = cp.g_series_convolution(spec, n_max).coeffs
+        assert convolution == cp.g_series_euler(spec, n_max).coeffs
+        assert convolution == cp.g_series_divisor(spec, n_max).coeffs
 
     def test_monotone_when_first_color_unrestricted(self):
         rng = random.Random(11)
