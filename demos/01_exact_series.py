@@ -1,9 +1,11 @@
 """Three independent ways to count colored partitions, agreeing exactly.
 
 A 4-colored partition of n (two colors unrestricted, two only on parts
-divisible by 3) can be counted by a divisor-sum recurrence, by multiplying
-out the truncated generating product, or by convolving plain partition
-counts over constrained tuples.  All three produce identical big integers.
+divisible by 3) can be counted by a divisor-sum recurrence, by pentagonal
+division (dividing 1 by Euler's function E(q^s) once per color, which for
+s=1;l=1 gives the plain partition numbers p(n)), or by convolving plain
+partition counts over constrained tuples.  All three produce identical big
+integers.
 """
 
 import colorpart as cp

@@ -2,22 +2,24 @@
 
 Three independent series engines, each returning g(0..N):
 
+* ``g_series_euler``       -- pentagonal division of 1 by E(z^{s_i}) once per
+  color, E(q) = prod_m (1 - q^m), for the generating product: the fast engine,
+  O(L * N^1.5) additions.  ``partition_table``, plain p(n), is its s=1;l=1 case.
 * ``g_series_divisor``     -- divisor-sum recurrence from the logarithmic
-  derivative of the generating product (the workhorse, O(N^2)).
-* ``g_series_euler``       -- direct truncated Euler-product multiplication.
+  derivative of the generating product (O(N^2)).
 * ``g_series_convolution`` -- the convolution of plain partition counts
   over constrained tuples: the free colors are folded once, one color at
   a time, and each g(n) closes with one dot product against p.
 
 Each serves as an oracle for the others; the test suite enforces three-way
-agreement.  Plain p(n), the s=1;l=1 series, comes from the pentagonal-number
-recurrence.
+agreement.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from math import isqrt
 from operator import mul
 
 from .errors import TooLarge
@@ -50,27 +52,44 @@ class ExactSeries:
         return self.coeffs[n]
 
 
-def partition_table(n_max: int) -> ExactSeries:
-    """p(0..n_max), the s=1;l=1 series, via Euler's pentagonal-number recurrence."""
+def _pentagonal(limit: int) -> list[tuple[int, int]]:
+    """(g, sign) for the generalized pentagonal numbers 0 < g <= limit, ascending.
+
+    g = k(3k - 1)/2 and k(3k + 1)/2 for k >= 1, with sign +1 for odd k, so that
+    E(q) = 1 - sum sign * q**g (Euler's pentagonal theorem).
+    """
+    return [(g, 1 if k % 2 else -1) for k in range(1, isqrt(limit) + 2)
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= limit]
+
+
+def _divide(moduli, n_max: int) -> list[int]:
+    """Coefficients 0..n_max of the product over ``moduli`` of 1/E(z^s).
+
+    Each color divides in place, c[j] += sum sign * c[j - s*g] over pentagonal
+    s*g <= j, in increasing j so that every c[j - s*g] read is already divided.
+    """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    p = [0] * (n_max + 1)
-    p[0] = 1
-    for n in range(1, n_max + 1):
-        total = 0
-        k = 1
-        while True:
-            pent = k * (3 * k - 1) // 2
-            if pent > n:
-                break
-            sign = 1 if k % 2 == 1 else -1
-            total += sign * p[n - pent]
-            pent2 = k * (3 * k + 1) // 2
-            if pent2 <= n:
-                total += sign * p[n - pent2]
-            k += 1
-        p[n] = total
-    return ExactSeries(spec=validate([1], [1]), coeffs=tuple(p), method=Method.PENTAGONAL)
+    c = [0] * (n_max + 1)
+    c[0] = 1
+    for s in moduli:
+        offsets = [(s * g, sign) for g, sign in _pentagonal(n_max // s)]
+        for j in range(s, n_max + 1):
+            acc = c[j]
+            for off, sign in offsets:
+                if off > j:
+                    break
+                if sign > 0:
+                    acc += c[j - off]
+                else:
+                    acc -= c[j - off]
+            c[j] = acc
+    return c
+
+
+def partition_table(n_max: int) -> ExactSeries:
+    """p(0..n_max), the s=1;l=1 series, by pentagonal division."""
+    return ExactSeries(validate([1], [1]), tuple(_divide((1,), n_max)), Method.PENTAGONAL)
 
 
 def _sigma1_table(n_max: int) -> list[int]:
@@ -111,32 +130,9 @@ def g_series_divisor(spec: ColoredSpec, n_max: int) -> ExactSeries:
     return ExactSeries(spec=spec, coeffs=tuple(g), method=Method.DIVISOR_RECURRENCE)
 
 
-def factor_multiplicities(spec: ColoredSpec, n_max: int) -> list[int]:
-    """For each part size m <= n_max, how many colors can use it."""
-    mult = [0] * (n_max + 1)
-    for si, li in zip(spec.s, spec.l):
-        for m in range(si, n_max + 1, si):
-            mult[m] += li
-    return mult
-
-
 def g_series_euler(spec: ColoredSpec, n_max: int) -> ExactSeries:
-    """g(0..n_max) by multiplying truncated factors 1/(1-z^m) one at a time.
-
-    Factors are applied in increasing m so the cheap m=1 passes touch the
-    array while it is still short in the prefix sense; each application is
-    the in-place recurrence c[j] += c[j-m].
-    """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    c = [0] * (n_max + 1)
-    c[0] = 1
-    mult = factor_multiplicities(spec, n_max)
-    for m in range(1, n_max + 1):
-        for _ in range(mult[m]):
-            for j in range(m, n_max + 1):
-                c[j] += c[j - m]
-    return ExactSeries(spec=spec, coeffs=tuple(c), method=Method.EULER_PRODUCT)
+    """g(0..n_max) by pentagonal division, once per color (see ``_divide``)."""
+    return ExactSeries(spec, tuple(_divide(spec.moduli, n_max)), Method.EULER_PRODUCT)
 
 
 DEFAULT_FOLD_BUDGET = 10**9
@@ -157,9 +153,8 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
     """Raise TooLarge if ``g_series_<method>(spec, n_max)`` takes over ``budget`` steps.
 
     Convolution costs its fold at n_max; the divisor recurrence n multiply-adds
-    per n.  The Euler product adds n_max - m + 1 times per factor 1/(1 - z^m),
-    one per color and multiple m of its modulus s: q*(n_max + 1) - s*q*(q + 1)/2
-    in all for q = n_max // s.
+    per n.  Pentagonal division adds once per pair (j, g) with s*g <= j <= n_max,
+    for each color of modulus s and pentagonal g <= n_max // s.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -168,8 +163,7 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
     if method == "divisor":
         est = n_max * (n_max + 1) // 2
     else:
-        est = sum(q * (n_max + 1) - si * q * (q + 1) // 2
-                  for si in spec.moduli for q in [n_max // si])
+        est = sum(n_max - si * g + 1 for si in spec.moduli for g, _ in _pentagonal(n_max // si))
     check_budget(est, f"{method} steps", budget)
 
 

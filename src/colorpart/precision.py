@@ -22,7 +22,10 @@ def default_bits() -> int:
         return _default_bits
     env = os.environ.get("COLORPART_PRECISION_BITS")
     if env:
-        bits = int(env)
+        try:
+            bits = int(env)
+        except ValueError:
+            raise ValueError(f"COLORPART_PRECISION_BITS must be an integer, got {env!r}") from None
         if bits < MIN_BITS:
             raise ValueError(f"COLORPART_PRECISION_BITS must be >= {MIN_BITS}, got {bits}")
         return bits

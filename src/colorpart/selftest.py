@@ -26,8 +26,8 @@ REMARK = specs.validate([1, 3], [2, 2])
 
 @functools.lru_cache(maxsize=None)
 def anchor_series(spec: specs.ColoredSpec) -> exact.ExactSeries:
-    """g(0..ANCHOR_N) by the divisor recurrence, built once per spec and process."""
-    return exact.g_series_divisor(spec, ANCHOR_N)
+    """g(0..ANCHOR_N) by pentagonal division, built once per spec and process."""
+    return exact.g_series_euler(spec, ANCHOR_N)
 
 
 def random_spec(rng: random.Random) -> specs.ColoredSpec:

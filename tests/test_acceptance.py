@@ -26,8 +26,8 @@ def gate(check, bound_s=None):
 test_criterion_1_oracle_triple_agreement = gate(selftest.check_triple_agreement, 10)
 test_criterion_2_classical_reduction = gate(selftest.check_classical_reduction, 30)
 test_criterion_3_closed_form_constants = gate(selftest.check_closed_form_constants)
-test_criterion_4_error_exponents = gate(selftest.check_error_exponent)
-test_criterion_5_relative_error_decay = gate(selftest.check_error_decay)
+test_criterion_4_error_exponents = gate(selftest.check_error_exponent, 5)
+test_criterion_5_relative_error_decay = gate(selftest.check_error_decay, 5)
 test_criterion_6_determinant_identity = gate(selftest.check_determinant, 1)
 test_criterion_7_gaussian_quadform_integral = gate(selftest.check_gaussian_integrals, 30)
 test_criterion_8_region_decomposition = gate(selftest.check_region_decomposition, 10)

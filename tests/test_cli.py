@@ -156,9 +156,10 @@ class TestExact:
         code, out, err = run(capsys, "exact", "--spec", "s=1;l=3", "--n-max", "500",
                              "--method", method, "--budget", "10")
         # The fold at n_max: 3 colors * 501**2; the divisor recurrence: 500*501/2;
-        # the Euler product: 3 colors * (500*501 - 500*501/2).
-        estimate = {"divisor": "125250 divisor", "euler": "375750 euler"}.get(method,
-                                                                           "753003 fold")
+        # pentagonal division: 3 colors * sum of (501 - g) over the 36
+        # generalized pentagonal numbers g <= 500 (they sum to 6327).
+        estimate = {"divisor": "125250 divisor", "euler": "35127 euler"}.get(method,
+                                                                          "753003 fold")
         assert (code, out) == (4, "")
         assert err == f"error: estimated {estimate} steps exceeds budget 10\n"
 
@@ -249,6 +250,11 @@ class TestAsymptotic:
                            "--format", "json")
         assert code == 0
         assert json.loads(out)["c"].startswith("0.144337567297406")
+
+    def test_env_var_precision_not_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLORPART_PRECISION_BITS", "abc")
+        assert run(capsys, "compare", "--spec", "s=1;l=1", "--n-list", "16") == (
+            2, "", "error: COLORPART_PRECISION_BITS must be an integer, got 'abc'\n")
 
 
 class TestCompareAndFit:

@@ -84,6 +84,13 @@ class TestPartitionTable:
         with pytest.raises(ValueError):
             cp.partition_table(-1)
 
+    def test_sympy_hardy_ramanujan_oracle(self, classical_spec):
+        sympy = pytest.importorskip("sympy")
+        table = cp.partition_table(selftest.ANCHOR_N)
+        euler = cp.g_series_euler(classical_spec, selftest.ANCHOR_N)
+        for n in [*range(200), 1000, 4096, selftest.ANCHOR_N]:
+            assert table[n] == euler[n] == int(sympy.partition(n)), n
+
 
 class TestDivisorRecurrence:
     def test_reduces_to_p(self, classical_spec):
@@ -114,6 +121,20 @@ class TestEulerProduct:
         wide = cp.g_series_euler(cp.validate([1, 7], [3, 2]), 6)
         pure = cp.g_series_euler(cp.validate([1], [3]), 6)
         assert wide.coeffs == pure.coeffs
+
+    @pytest.mark.parametrize("s,l,n_max", [([1], [3], 500), ([1, 3], [2, 2], 1000),
+                                           ([1, 4, 7], [1, 2, 1], 77)])
+    def test_budget_counts_every_division_step(self, s, l, n_max):
+        # One addition per pair (j, g) with s*g <= j <= n_max, per color,
+        # g running over k(3k - 1)/2 for every nonzero integer k (|k| <= 40
+        # reaches past 1000).
+        spec = cp.validate(s, l)
+        pent = {k * (3 * k - 1) // 2 for k in range(-40, 41) if k}
+        steps = sum(1 for si in spec.moduli for j in range(n_max + 1) for g in pent
+                    if si * g <= j)
+        exact.check_series_budget("euler", spec, n_max, steps)
+        with pytest.raises(errors.TooLarge, match=f"^estimated {steps} euler steps "):
+            exact.check_series_budget("euler", spec, n_max, steps - 1)
 
 
 class TestTupleConvolution:
