@@ -16,6 +16,9 @@ import numpy as np
 
 from .errors import QuadratureFailure, RadiusTooSmall, SumIntegralBoundError
 
+# Rows per Monte Carlo block: 4096 x 8 doubles (256 KiB) stay in L2.
+_MC_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class QuadFormSpec:
@@ -68,11 +71,14 @@ def det_trials(trials: int, k_max: int, seed: int) -> list[tuple[int, float, flo
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(trials):
-        q = random_form(rng, int(rng.integers(1, k_max + 1)), 0.1, 10)
-        out.append((q.k, det_closed_form(q), float(np.linalg.det(q.matrix()))))
-    return out
+    forms = [random_form(rng, int(rng.integers(1, k_max + 1)), 0.1, 10) for _ in range(trials)]
+    by_k: dict[int, list[int]] = {}
+    for i, q in enumerate(forms):
+        by_k.setdefault(q.k, []).append(i)
+    elim = np.empty(trials)
+    for idx in by_k.values():  # one stacked elimination per dimension
+        elim[idx] = np.linalg.det(np.stack([forms[i].matrix() for i in idx]))
+    return [(q.k, det_closed_form(q), float(e)) for q, e in zip(forms, elim)]
 
 
 def gaussian_quadform_integral(q: QuadFormSpec) -> float:
@@ -132,23 +138,45 @@ def gaussian_integral_monte_carlo(
     radius: float = 8.0,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Monte Carlo oracle: (estimate, standard error) over the truncated box."""
+    """Monte Carlo oracle: (estimate, standard error) over the truncated box.
+
+    Raises ValueError when ``samples`` is below 2 or ``radius`` is not finite.
+    """
+    if samples < 2:
+        raise ValueError(f"samples must be >= 2, got {samples}")
+    if not math.isfinite(radius):
+        raise ValueError(f"radius must be finite, got {radius}")
     truncation_error_bound(radius)
     rng = np.random.default_rng(seed)
     volume = (2 * radius) ** q.k
     a_rest = np.asarray(q.a_rest)
+    ones = np.ones(q.k)
+    # Blocked and in place: one (B, k) draw buffer and two length-B work
+    # vectors, so memory stays O(B*k) whatever the sample count.  Filling
+    # rows in order with random() and mapping to [-radius, radius) gives
+    # the same draws as uniform(-radius, radius, size=(samples, k)).  Row
+    # sums go through matmul with ones: np.sum over a short last axis
+    # costs as much as drawing the numbers.
+    buf = np.empty((_MC_BLOCK, q.k))
+    buf_sq = np.empty(_MC_BLOCK)
+    buf_val = np.empty(_MC_BLOCK)
     total = 0.0
     total_sq = 0.0
-    # Chunked so 10^7 x k doubles never sit in memory at once.
-    chunk = 10**6
-    done = 0
-    while done < samples:
-        m = min(chunk, samples - done)
-        x = rng.uniform(-radius, radius, size=(m, q.k))
-        vals = np.exp(-(q.a0 * x.sum(axis=1) ** 2 + (x * x) @ a_rest))
+    for start in range(0, samples, _MC_BLOCK):
+        m = min(_MC_BLOCK, samples - start)
+        x, sq, vals = buf[:m], buf_sq[:m], buf_val[:m]
+        rng.random(out=x)
+        x *= 2 * radius
+        x -= radius
+        np.matmul(x, ones, out=sq)
+        sq *= sq
+        sq *= -q.a0
+        x *= x
+        np.matmul(x, a_rest, out=vals)
+        np.subtract(sq, vals, out=vals)
+        np.exp(vals, out=vals)
         total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += m
+        total_sq += float(np.dot(vals, vals))
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     return volume * mean, volume * math.sqrt(var / samples)

@@ -29,7 +29,7 @@ test_criterion_3_closed_form_constants = gate(selftest.check_closed_form_constan
 test_criterion_4_error_exponents = gate(selftest.check_error_exponent, 5)
 test_criterion_5_relative_error_decay = gate(selftest.check_error_decay, 5)
 test_criterion_6_determinant_identity = gate(selftest.check_determinant, 1)
-test_criterion_7_gaussian_quadform_integral = gate(selftest.check_gaussian_integrals, 30)
+test_criterion_7_gaussian_quadform_integral = gate(selftest.check_gaussian_integrals, 10)
 test_criterion_8_region_decomposition = gate(selftest.check_region_decomposition, 10)
 test_criterion_9_sum_to_integral_bound = gate(selftest.check_sum_vs_integral, 5)
 

@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, special
 
 import colorpart as cp
-from colorpart import errors
+from colorpart import errors, quadform
 from colorpart.quadform import random_form
 
 C1 = math.pi * math.sqrt(2 / 3)
@@ -28,6 +29,14 @@ class TestDetClosedForm:
         closed = cp.det_closed_form(q)
         elim = float(np.linalg.det(q.matrix()))
         assert abs(closed - elim) <= 1e-9 * abs(elim)
+
+    def test_det_trials_match_one_elimination_per_trial(self):
+        rng = np.random.default_rng(3)
+        want = []
+        for _ in range(300):
+            q = random_form(rng, int(rng.integers(1, 9)), 0.1, 10)
+            want.append((q.k, cp.det_closed_form(q), float(np.linalg.det(q.matrix()))))
+        assert quadform.det_trials(300, 8, 3) == want
 
     def test_positivity_required(self):
         with pytest.raises(ValueError):
@@ -62,6 +71,39 @@ class TestGaussianIntegral:
         est, se = cp.gaussian_integral_monte_carlo(q, samples=10**6, seed=0)
         closed = cp.gaussian_quadform_integral(q)
         assert abs(est - closed) < 3 * se
+
+    @pytest.mark.parametrize("samples", [1000, quadform._MC_BLOCK, 10**4 + 1])
+    def test_monte_carlo_draws_match_one_uniform_call(self, samples):
+        rng = np.random.default_rng(11)
+        for k in range(1, 9):
+            q = random_form(rng, k, 0.1, 10)
+            x = np.random.default_rng(k).uniform(-3.0, 3.0, size=(samples, k))
+            vals = np.exp(-(q.a0 * x.sum(axis=1) ** 2 + (x * x) @ np.asarray(q.a_rest)))
+            mean = vals.mean()
+            se = math.sqrt(max((vals * vals).mean() - mean * mean, 0.0) / samples)
+            est, got_se = cp.gaussian_integral_monte_carlo(q, samples=samples, radius=3.0, seed=k)
+            assert est == pytest.approx(6.0**k * mean, rel=1e-12)
+            assert got_se == pytest.approx(6.0**k * se, rel=1e-12)
+
+    def test_monte_carlo_memory_is_blocked(self):
+        q = cp.QuadFormSpec(1.0, (1.0,) * 8)
+        tracemalloc.start()
+        try:
+            cp.gaussian_integral_monte_carlo(q, samples=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_monte_carlo_rejects_too_few_samples(self, samples):
+        with pytest.raises(ValueError, match="samples"):
+            cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,)), samples=samples)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    def test_monte_carlo_rejects_non_finite_radius(self, radius):
+        with pytest.raises(ValueError, match="radius"):
+            cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,)), samples=10, radius=radius)
 
     def test_factorization_identity(self):
         rng = np.random.default_rng(9)
