@@ -35,7 +35,6 @@ from .regions import (
     RegionSplitReport,
     region_split,
     saddle_tuple,
-    tail_bound_certificate,
 )
 from .specs import (
     AsymptoticConstants,
@@ -108,7 +107,6 @@ __all__ = [
     "saddle_tuple",
     "set_default_bits",
     "sum_vs_integral",
-    "tail_bound_certificate",
     "truncation_error_bound",
     "validate",
     "working_precision",

@@ -120,10 +120,7 @@ def g_series_divisor(spec: ColoredSpec, n_max: int) -> ExactSeries:
     g = [0] * (n_max + 1)
     g[0] = 1
     for n in range(1, n_max + 1):
-        acc = 0
-        for j in range(1, n + 1):
-            acc += b[j] * g[n - j]
-        q, r = divmod(acc, n)
+        q, r = divmod(sum(map(mul, b[1:n + 1], g[n - 1::-1])), n)
         if r:
             raise ArithmeticError(f"divisor recurrence produced non-integer g({n})")
         g[n] = q

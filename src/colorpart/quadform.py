@@ -3,7 +3,10 @@
 The quadratic form of interest is  a0*(x_1 + ... + x_k)**2 + sum a_i*x_i**2
 with all coefficients positive.  Its matrix has diagonal a0 + a_i and
 constant off-diagonal a0, and the determinant factors in closed form, which
-makes the full-space Gaussian integral elementary.
+makes the full-space Gaussian integral elementary.  The quadrature oracle
+checks it for k <= 2 over a box scaled by the form's smallest eigenvalue,
+so the truncated mass stays below exp(-64) per coordinate however flat the
+form; Monte Carlo checks it for larger k.
 """
 
 from __future__ import annotations
@@ -18,6 +21,10 @@ from .errors import QuadratureFailure, RadiusTooSmall, SumIntegralBoundError
 
 # Rows per Monte Carlo block: 4096 x 8 doubles (256 KiB) stay in L2.
 _MC_BLOCK = 4096
+# Half-width of the quadrature box, in the eigenvalue-scaled coordinates.
+_BOX = 8.0
+# Uniform grid points on which sum_vs_integral estimates max|f|.
+_GRID_POINTS = 10**4
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,7 @@ class QuadFormSpec:
 
     def matrix(self) -> np.ndarray:
         """Dense k x k matrix: diagonal a0 + a_i, off-diagonal a0."""
-        m = np.full((self.k, self.k), self.a0)
+        m = np.full((self.k, self.k), self.a0, dtype=float)
         m[np.diag_indices(self.k)] += np.asarray(self.a_rest)
         return m
 
@@ -96,40 +103,35 @@ def truncation_error_bound(radius: float) -> float:
     return math.exp(-radius * radius)
 
 
-def quadform_value(q: QuadFormSpec, x) -> float:
-    x = np.asarray(x, dtype=float)
-    return q.a0 * float(x.sum()) ** 2 + float(np.dot(q.a_rest, x * x))
-
-
-def gaussian_integral_quadrature(
-    q: QuadFormSpec, radius: float = 8.0, epsabs: float = 1e-9
-) -> float:
+def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
     """Adaptive-quadrature oracle for the Gaussian integral, k in {1, 2}.
 
-    Truncates to the box [-radius, radius]^k; ``truncation_error_bound``
-    justifies the default radius against the 1e-6 comparison tolerance.
+    With lam the form's smallest eigenvalue, substitutes y = sqrt(lam)*x:
+    the scaled form, coefficients a_i/lam, is >= |y|^2, so the mass outside
+    the box [-8, 8]^k is at most sqrt(pi)*erfc(8) per coordinate, below
+    ``truncation_error_bound(8)``, for every form.  Returns the scaled
+    integral times lam**(-k/2).
     """
     from scipy import integrate  # scipy loads only for the two quadrature paths
 
-    truncation_error_bound(radius)
+    lam = float(np.linalg.eigvalsh(q.matrix())[0])
+    a0 = q.a0 / lam
     if q.k == 1:
-        a = q.a0 + q.a_rest[0]
-        val, err = integrate.quad(lambda x: math.exp(-a * x * x), -radius, radius,
-                                  epsabs=epsabs)
+        a = a0 + q.a_rest[0] / lam
+        val, err = integrate.quad(lambda x: math.exp(-a * x * x), -_BOX, _BOX,
+                                  epsabs=1e-9)
     elif q.k == 2:
-        a0 = q.a0
-        a1, a2 = q.a_rest
+        a1, a2 = (a / lam for a in q.a_rest)
 
         def f(y, x):
             return math.exp(-(a0 * (x + y) ** 2 + a1 * x * x + a2 * y * y))
 
-        val, err = integrate.dblquad(f, -radius, radius, -radius, radius,
-                                     epsabs=epsabs)
+        val, err = integrate.dblquad(f, -_BOX, _BOX, -_BOX, _BOX, epsabs=1e-9)
     else:
         raise ValueError("quadrature oracle supports k <= 2; use Monte Carlo above")
     if err > 1e-6:
         raise QuadratureFailure(f"quadrature error estimate {err} too large")
-    return val
+    return val * lam ** (-q.k / 2)
 
 
 def gaussian_integral_monte_carlo(
@@ -187,7 +189,6 @@ def sum_vs_integral(
     a: float,
     b: float,
     m: int,
-    grid_points: int = 10**4,
 ) -> tuple[float, float, float]:
     """Compare the lattice sum of f over [a, b] with its integral.
 
@@ -207,7 +208,7 @@ def sum_vs_integral(
     val, err = integrate.quad(f, a, b, epsrel=1e-10, limit=500)
     if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):
         raise QuadratureFailure(f"integral {val} with error estimate {err}")
-    xs = np.linspace(a, b, grid_points)
+    xs = np.linspace(a, b, _GRID_POINTS)
     fmax = max(float(np.max(np.abs([f(x) for x in xs]))), abs(f(a)), abs(f(b)))
     bound = 2.0 * (m + 1) * fmax
     if abs(lattice - val) > bound:

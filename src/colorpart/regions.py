@@ -4,7 +4,7 @@ The count g(n) equals a sum of products of plain partition numbers over all
 color tuples u with sum s_i * u_{i,j} = n.  The dominant contribution comes
 from tuples near the saddle v_{i,j} = n / (s_i^2 * a); this module splits
 the sum exactly into the box |u - v| < v**eta (main) and its complement
-(tail), and reports the implied tail-decay constant.
+(tail).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import mpmath
 
 from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, _fold, check_budget, check_fold_budget
 from .precision import working_precision
-from .specs import AsymptoticConstants, ColoredSpec, require_eta
+from .specs import ColoredSpec, require_eta
 
 
 @dataclass(frozen=True)
@@ -118,22 +118,3 @@ def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries,
     main_sum = _fold(n, p, [(si, *_box(vi, eta, n // si)) for si, vi in free])
     return RegionSplitReport(spec=spec, n=n, eta=eta, v=tuple(v),
                              main_sum=main_sum, tail_sum=total - main_sum)
-
-
-def tail_bound_certificate(
-    report: RegionSplitReport, consts: AsymptoticConstants
-) -> mpmath.mpf:
-    """Implied tail-decay constant from an exact region split.
-
-    The tail obeys  ln(tail) <= c1*sqrt(a*n) - c3*n**(2*eta - 3/2)  for some
-    positive c3; this returns the estimate c3 = -gap / n**(2*eta - 3/2) with
-    gap = ln(tail) - c1*sqrt(a*n).  A zero tail yields +inf (vacuous bound).
-    """
-    if report.tail_sum == 0:
-        return mpmath.inf
-    with working_precision():
-        c1 = mpmath.pi * mpmath.sqrt(mpmath.mpf(2) / 3)
-        a = mpmath.mpf(consts.a.numerator) / consts.a.denominator
-        gap = mpmath.log(mpmath.mpf(report.tail_sum)) - c1 * mpmath.sqrt(a * report.n)
-        eta = mpmath.mpf(report.eta.numerator) / report.eta.denominator
-        return +(-gap / mpmath.mpf(report.n) ** (2 * eta - mpmath.mpf(3) / 2))

@@ -88,18 +88,32 @@ def validate(s, l) -> ColoredSpec:
     return ColoredSpec(s, l)
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """The (key, value) pairs as a dict, refusing a repeated key.
+
+    Shared by both parsers; ``parse_json`` passes it as ``object_pairs_hook``.
+    """
+    obj = {}
+    for key, val in pairs:
+        if key in obj:
+            raise SpecError(f"spec field {key!r} given more than once")
+        obj[key] = val
+    return obj
+
+
 def parse_text(text: str) -> ColoredSpec:
     """Parse the compact form ``s=1,3;l=2,2``."""
-    fields = {}
+    pairs = []
     for chunk in text.strip().split(";"):
         if "=" not in chunk:
             raise SpecError(f"malformed spec text {text!r}")
         key, _, val = chunk.partition("=")
         key = key.strip()
         try:
-            fields[key] = [int(x) for x in val.split(",") if x.strip()]
+            pairs.append((key, [int(x) for x in val.split(",") if x.strip()]))
         except ValueError:
             raise SpecError(f"spec {key!r} must be a list of integers, got {val!r}") from None
+    fields = _unique_fields(pairs)
     if set(fields) != {"s", "l"}:
         raise SpecError(f"spec text must define exactly s and l, got {sorted(fields)}")
     return validate(fields["s"], fields["l"])
@@ -108,7 +122,7 @@ def parse_text(text: str) -> ColoredSpec:
 def parse_json(text: str) -> ColoredSpec:
     """Parse the JSON form ``{"s": [1, 3], "l": [2, 2]}``."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
         raise SpecError(f"invalid spec JSON: {exc}") from exc
     if not isinstance(obj, dict) or set(obj) != {"s", "l"}:

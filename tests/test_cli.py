@@ -131,6 +131,11 @@ class TestExact:
             code, out, err = run(capsys, "exact", "--spec-json", text, "--n-max", "3")
             assert (code, out) == (2, "")
             assert "must be a list of integers" in err
+        for flag, text in (("--spec", "s=1;l=1;l=3"),
+                           ("--spec-json", '{"s":[1],"l":[1],"l":[3]}')):
+            code, out, err = run(capsys, "exact", flag, text, "--n-max", "3")
+            assert (code, out) == (2, "")
+            assert err == "error: spec field 'l' given more than once\n"
 
     def test_raw_format(self, capsys):
         code, out, _ = run(capsys, "exact", "--spec", "s=1;l=2",

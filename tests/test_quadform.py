@@ -1,9 +1,9 @@
+import inspect
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, special
 
 import colorpart as cp
 from colorpart import errors, quadform
@@ -65,6 +65,21 @@ class TestGaussianIntegral:
                 quad = cp.gaussian_integral_quadrature(q)
                 assert abs(closed - quad) < 1e-6
 
+    def test_quadrature_exact_on_small_curvature_forms(self):
+        # Curvatures near 1e-4, as at the region split's saddle: a fixed
+        # [-8, 8]^k box in x would cut off most of the mass.
+        forms = [cp.QuadFormSpec(0.1, (0.1, 0.1)), cp.QuadFormSpec(5e-4, (1e-4,)),
+                 cp.QuadFormSpec(2e-4, (1e-4, 3e-4)), cp.QuadFormSpec(8.1e-3, (1e-4, 2e-4)),
+                 cp.QuadFormSpec(10, (1e-4,)), cp.QuadFormSpec(1, (1, 1))]
+        rng = np.random.default_rng(3)
+        forms += [random_form(rng, k, 0.1, 10) for k in (1, 2) for _ in range(5)]
+        for q in forms:
+            closed = cp.gaussian_quadform_integral(q)
+            assert cp.gaussian_integral_quadrature(q) == pytest.approx(closed, rel=1e-9)
+
+    def test_quadrature_takes_only_the_form(self):
+        assert list(inspect.signature(cp.gaussian_integral_quadrature).parameters) == ["q"]
+
     def test_monte_carlo_k3(self):
         rng = np.random.default_rng(1)
         q = random_form(rng, 3, 0.1, 10)
@@ -112,18 +127,12 @@ class TestGaussianIntegral:
             lhs = cp.gaussian_quadform_integral(q) * math.sqrt(cp.det_closed_form(q))
             assert lhs == pytest.approx(math.pi ** (k / 2), rel=1e-12)
 
-    def test_quadform_value(self):
-        q = cp.QuadFormSpec(2.0, (1.0, 3.0))
-        from colorpart.quadform import quadform_value
-
-        assert quadform_value(q, [1.0, -1.0]) == pytest.approx(0 + 1 + 3)
-
 
 class TestTruncationBound:
     def test_radius_one(self):
         bound = cp.truncation_error_bound(1.0)
         assert bound == pytest.approx(math.exp(-1))
-        true_tail = math.sqrt(math.pi) / 2 * special.erfc(1.0)
+        true_tail = math.sqrt(math.pi) / 2 * math.erfc(1.0)
         assert true_tail == pytest.approx(0.1394, abs=1e-4)
         assert true_tail <= bound
 
@@ -132,7 +141,7 @@ class TestTruncationBound:
 
     def test_bound_dominates_tail(self):
         for r in np.linspace(1.0, 6.0, 11):
-            true_tail = math.sqrt(math.pi) / 2 * special.erfc(r)
+            true_tail = math.sqrt(math.pi) / 2 * math.erfc(r)
             assert true_tail <= cp.truncation_error_bound(r)
 
     def test_radius_too_small(self):

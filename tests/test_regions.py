@@ -1,7 +1,6 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 
 import colorpart as cp
@@ -163,23 +162,3 @@ class TestRegionSplit:
         with pytest.raises(errors.TooLarge):
             cp.region_split(spec, 200, Fraction(4, 5), cp.partition_table(200),
                             budget=100)
-
-
-class TestTailBoundCertificate:
-    def test_zero_tail_is_vacuous(self, remark_spec):
-        rep = cp.RegionSplitReport(
-            spec=cp.validate([1], [2]), n=10, eta=Fraction(4, 5),
-            v=(Fraction(5), Fraction(5)), main_sum=42, tail_sum=0,
-        )
-        consts = cp.constants(cp.validate([1], [2]))
-        assert cp.tail_bound_certificate(rep, consts) == mpmath.inf
-
-    def test_positive_certificates(self):
-        spec = cp.validate([1], [2])
-        consts = cp.constants(spec)
-        ptable = cp.partition_table(400)
-        estimates = []
-        for n in (100, 200, 400):
-            rep = cp.region_split(spec, n, Fraction(4, 5), ptable)
-            estimates.append(cp.tail_bound_certificate(rep, consts))
-        assert all(c3 > 0 for c3 in estimates)

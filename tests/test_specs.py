@@ -87,6 +87,15 @@ class TestSerialization:
         with pytest.raises(errors.SpecError, match="spec 's' must be a list of integers, got"):
             cp.parse_text(text)
 
+    @pytest.mark.parametrize("text", ["s=1;l=1;l=3", "s=1;s=1;l=2"])
+    def test_repeated_text_field(self, text):
+        with pytest.raises(errors.SpecError, match="given more than once"):
+            cp.parse_text(text)
+
+    def test_repeated_json_field(self):
+        with pytest.raises(errors.SpecError, match="spec field 'l' given more than once"):
+            cp.parse_json('{"s":[1],"l":[1],"l":[3]}')
+
     @given(valid_specs())
     def test_round_trip_property(self, spec):
         assert cp.parse_text(spec.to_text()) == spec
