@@ -6,7 +6,9 @@ Three independent series engines, each returning g(0..N):
   color, E(q) = prod_m (1 - q^m), for the generating product: the fast engine,
   O(L * N^1.5) additions.  ``partition_table``, plain p(n), is its s=1;l=1 case.
 * ``g_series_divisor``     -- divisor-sum recurrence from the logarithmic
-  derivative of the generating product (O(N^2)).
+  derivative of the generating product, solved by divide and conquer so
+  that most of its N^2/2 multiply-adds run inside a few big-integer
+  products (``_kron``, Kronecker substitution).
 * ``g_series_convolution`` -- the convolution of plain partition counts
   over constrained tuples: the free colors are folded once, one color at
   a time, and each g(n) closes with one dot product against p.
@@ -20,7 +22,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from math import isqrt
-from operator import mul
+from operator import add, mul
 
 from .errors import TooLarge
 from .specs import ColoredSpec, validate
@@ -92,6 +94,34 @@ def partition_table(n_max: int) -> ExactSeries:
     return ExactSeries(validate([1], [1]), tuple(_divide((1,), n_max)), Method.PENTAGONAL)
 
 
+# Blocks of the divisor recurrence at most this long sum their terms directly.
+_DIVISOR_LEAF = 48
+# Colors with fewer terms than this fold by the direct loop in ``_product``.
+_KRON_TERMS = 48
+
+
+def _kron(a, b, count: int) -> list[int]:
+    """Coefficients 0..count-1 of the product of polynomials a and b.
+
+    Kronecker substitution: each operand's non-negative integer coefficients
+    are packed into one int, in byte slots too wide for any coefficient of
+    the product to carry into the next, the two ints are multiplied once
+    (CPython's Karatsuba), and the product is unpacked slot by slot.
+    """
+    if count <= 0:
+        return []
+    a, b = a[:count], b[:count]
+    if not a or not b:
+        return [0] * count
+    bits = (max(a).bit_length() + max(b).bit_length()
+            + min(len(a), len(b)).bit_length() + 1)
+    w = (bits + 7) // 8
+    x = int.from_bytes(b"".join([v.to_bytes(w, "little") for v in a]), "little")
+    y = int.from_bytes(b"".join([v.to_bytes(w, "little") for v in b]), "little")
+    data = (x * y).to_bytes((len(a) + len(b)) * w, "little")
+    return [int.from_bytes(data[i:i + w], "little") for i in range(0, count * w, w)]
+
+
 def _sigma1_table(n_max: int) -> list[int]:
     """Sum-of-divisors sieve sigma_1(1..n_max); index 0 unused."""
     sig = [0] * (n_max + 1)
@@ -112,18 +142,41 @@ def divisor_weights(spec: ColoredSpec, n_max: int) -> list[int]:
     return b
 
 
-def g_series_divisor(spec: ColoredSpec, n_max: int) -> ExactSeries:
-    """g(0..n_max) from the recurrence n*g(n) = sum_j b(j) * g(n-j)."""
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    b = divisor_weights(spec, n_max)
-    g = [0] * (n_max + 1)
-    g[0] = 1
-    for n in range(1, n_max + 1):
-        q, r = divmod(sum(map(mul, b[1:n + 1], g[n - 1::-1])), n)
+# A module-level function, not a closure: a nested function that calls itself
+# is a reference cycle, which would keep g, acc and b alive until the cyclic
+# collector runs and so raise the process's peak memory.
+def _solve_divisor(b, g, acc, lo: int, hi: int) -> None:
+    """Fill g[lo:hi] from n*g(n) = acc[n] + sum of b(n - i) * g(i) over lo <= i < n.
+
+    On entry acc[n] holds the terms with i < lo.  A block longer than
+    ``_DIVISOR_LEAF`` solves its left half, adds that half's terms to the
+    right half's acc with one ``_kron`` product against b, then solves its
+    right half; a shorter block sums its terms directly.
+    """
+    if hi - lo > _DIVISOR_LEAF:
+        mid = (lo + hi) // 2
+        _solve_divisor(b, g, acc, lo, mid)
+        acc[mid:hi] = map(add, acc[mid:hi], _kron(g[lo:mid], b[:hi - lo], hi - lo)[mid - lo:])
+        _solve_divisor(b, g, acc, mid, hi)
+        return
+    for n in range(max(lo, 1), hi):
+        q, r = divmod(acc[n] + sum(map(mul, b[n - lo:0:-1], g[lo:n])), n)
         if r:
             raise ArithmeticError(f"divisor recurrence produced non-integer g({n})")
         g[n] = q
+
+
+def g_series_divisor(spec: ColoredSpec, n_max: int) -> ExactSeries:
+    """g(0..n_max) from the recurrence n*g(n) = sum_j b(j) * g(n-j).
+
+    Solved by divide and conquer over n (see ``_solve_divisor``), so that
+    most of the sum runs as a few big-integer products.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    g = [0] * (n_max + 1)
+    g[0] = 1
+    _solve_divisor(divisor_weights(spec, n_max), g, [0] * (n_max + 1), 0, n_max + 1)
     return ExactSeries(spec=spec, coeffs=tuple(g), method=Method.DIVISOR_RECURRENCE)
 
 
@@ -150,7 +203,9 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
     """Raise TooLarge if ``g_series_<method>(spec, n_max)`` takes over ``budget`` steps.
 
     Convolution costs its fold at n_max; the divisor recurrence n multiply-adds
-    per n.  Pentagonal division adds once per pair (j, g) with s*g <= j <= n_max,
+    per n, n_max*(n_max + 1)/2 in all.  That count is now an upper bound (most
+    of the sums run as ``_kron`` products), kept so that a request is refused
+    at the same n_max as before.  Pentagonal division adds once per pair (j, g) with s*g <= j <= n_max,
     for each color of modulus s and pentagonal g <= n_max // s.
     """
     if n_max < 0:
@@ -169,7 +224,9 @@ def _product(n: int, p, colors) -> list[int]:
 
     ``colors`` holds one range ``(s_i, lo_i, hi_i)`` of u_i per color.  The
     colors are folded in the given order, each as a stride-s convolution with
-    p that skips zero entries, so passing large moduli first keeps the early
+    p: a color of at least ``_KRON_TERMS`` terms as one ``_kron`` product per
+    residue class mod s that holds a nonzero entry, a shorter one by a loop
+    that skips zero entries, so passing large moduli first keeps the early
     arrays sparse.  With full ranges ``(s, 0, m // s)`` for some m >= n, the
     result is the first n + 1 entries of the same product at m: s*u <= t <= n
     already bounds every u that reaches entry t.
@@ -179,10 +236,17 @@ def _product(n: int, p, colors) -> list[int]:
     for s, lo, hi in colors:
         terms = p[lo:hi + 1]
         out = [0] * (n + 1)
-        for t, base in enumerate(acc):
-            if base:
-                for j, pu in zip(range(t + s * lo, n + 1, s), terms):
-                    out[j] += base * pu
+        if len(terms) >= _KRON_TERMS:
+            # Entries t = r (mod s) only reach entries = r (mod s): one product per class.
+            for r in range(min(s, n + 1)):
+                row = acc[r::s]
+                if any(row):
+                    out[r + s * lo::s] = _kron(row, terms, len(row) - lo)
+        else:
+            for t, base in enumerate(acc):
+                if base:
+                    for j, pu in zip(range(t + s * lo, n + 1, s), terms):
+                        out[j] += base * pu
         acc = out
     return acc
 

@@ -83,8 +83,10 @@ def det_trials(trials: int, k_max: int, seed: int) -> list[tuple[int, float, flo
     for i, q in enumerate(forms):
         by_k.setdefault(q.k, []).append(i)
     elim = np.empty(trials)
-    for idx in by_k.values():  # one stacked elimination per dimension
-        elim[idx] = np.linalg.det(np.stack([forms[i].matrix() for i in idx]))
+    for k, idx in by_k.items():  # one stacked elimination per dimension
+        mats = np.repeat([forms[i].a0 for i in idx], k * k).reshape(len(idx), k, k)
+        mats[:, range(k), range(k)] += [forms[i].a_rest for i in idx]
+        elim[idx] = np.linalg.det(mats)
     return [(q.k, det_closed_form(q), float(e)) for q, e in zip(forms, elim)]
 
 

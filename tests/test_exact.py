@@ -2,7 +2,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import colorpart as cp
 from colorpart import errors, exact, selftest
@@ -103,6 +103,22 @@ class TestDivisorRecurrence:
     def test_g_zero_is_one(self):
         for raw in ([1], [1]), ([1, 4], [2, 1]), ([1, 2, 3], [1, 1, 1]):
             assert cp.g_series_divisor(cp.validate(*raw), 0)[0] == 1
+
+    # n_max = 20 is one direct block; b(j) with j >= the leaf size reaches the
+    # sums only through a Kronecker product.
+    @pytest.mark.parametrize("n_max,j", [(20, 7),
+                                         (3 * exact._DIVISOR_LEAF, exact._DIVISOR_LEAF + 5)])
+    def test_corrupted_weight_is_caught(self, remark_spec, monkeypatch, n_max, j):
+        weights = exact.divisor_weights
+
+        def corrupted(spec, n):
+            b = weights(spec, n)
+            b[j] += 1  # j*g(j) gains g(0) = 1, so g(j) is no longer an integer
+            return b
+
+        monkeypatch.setattr(exact, "divisor_weights", corrupted)
+        with pytest.raises(ArithmeticError, match=rf"non-integer g\({j}\)$"):
+            cp.g_series_divisor(remark_spec, n_max)
 
 
 class TestEulerProduct:
@@ -208,7 +224,7 @@ class TestCrossMethodAgreement:
     @given(
         st.sets(st.integers(min_value=2, max_value=9), max_size=2),
         st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=3),
-        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=300),
     )
     def test_divisor_equals_euler(self, extra, mults, n_max):
         spec = cp.validate([1] + sorted(extra), mults[: 1 + len(extra)])
@@ -216,6 +232,19 @@ class TestCrossMethodAgreement:
             cp.g_series_divisor(spec, n_max).coeffs
             == cp.g_series_euler(spec, n_max).coeffs
         )
+
+    # The series 0..n_max is one direct block up to n_max = leaf - 1.
+    @pytest.mark.parametrize("offset", [-1, 0, 1, exact._DIVISOR_LEAF + 1])
+    @pytest.mark.parametrize("s,l", [([1], [1]), ([1, 3], [2, 2]), ([1, 2, 5], [3, 1, 2])])
+    def test_divisor_equals_euler_at_the_leaf_size(self, s, l, offset):
+        spec, n_max = cp.validate(s, l), exact._DIVISOR_LEAF + offset
+        assert cp.g_series_divisor(spec, n_max).coeffs == cp.g_series_euler(spec, n_max).coeffs
+
+    def test_divisor_equals_euler_at_4096(self, remark_spec):
+        start = time.monotonic()
+        divisor = cp.g_series_divisor(remark_spec, 4096)
+        assert time.monotonic() - start < 4
+        assert divisor.coeffs == cp.g_series_euler(remark_spec, 4096).coeffs
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -234,6 +263,50 @@ class TestCrossMethodAgreement:
         for spec in (selftest.random_spec(rng) for _ in range(5)):
             coeffs = cp.g_series_euler(spec, 60).coeffs
             assert all(a <= b for a, b in zip(coeffs, coeffs[1:]))
+
+
+def direct_product(n, p, colors):
+    """The free-color product of ``exact._product``, one term at a time."""
+    acc = [1] + [0] * n
+    for s, lo, hi in colors:
+        out = [0] * (n + 1)
+        for t, base in enumerate(acc):
+            for u in range(lo, hi + 1):
+                if t + s * u <= n:
+                    out[t + s * u] += base * p[u]
+        acc = out
+    return acc
+
+
+# Lengths reach past twice either cutoff; entries run from 0 to over 10^4 bits.
+_CUT = max(exact._DIVISOR_LEAF, exact._KRON_TERMS)
+_coefficients = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64),
+                                   st.integers(2**10000, 2**10100)), max_size=2 * _CUT + 2)
+
+
+class TestKronecker:
+    @settings(max_examples=60, deadline=None)
+    @given(_coefficients, _coefficients, st.integers(0, 4 * _CUT + 6))
+    @example([], [], 0)
+    @example([], [1, 2], 3)
+    @example([0] * 60, [0] * 50, 120)
+    @example([7], [9], 1)
+    @example([7], [9], 0)
+    @example([2**10001 + 5], [3, 2**10003], 4)
+    @example([2**10000] * (_CUT - 1), [2**10001 - 1] * (_CUT + 1), 2 * _CUT)
+    @example([1] * _CUT, [2**64] * _CUT, 2 * _CUT - 1)
+    def test_matches_schoolbook(self, a, b, count):
+        assert exact._kron(a, b, count) == convolve(a, b, count - 1)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 300),
+           st.lists(st.tuples(st.integers(1, 9), st.integers(0, 150), st.integers(0, 150)),
+                    min_size=1, max_size=3))
+    def test_product_matches_direct_fold(self, ptable_2000, n, ranges):
+        # Ranges with lo > 0 are the region split's boxes.
+        colors = [(s, lo, lo + width) for s, lo, width in ranges]
+        assert exact._product(n, ptable_2000.coeffs, colors) == direct_product(
+            n, ptable_2000.coeffs, colors)
 
 
 def convolve(xs, ys, n_max):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -99,6 +100,21 @@ class TestRegionSplit:
             rep = cp.region_split(spec, n, Fraction(4, 5), ptable)
             assert rep.main_sum + rep.tail_sum == series[n]
             assert 0 <= rep.tail_fraction() <= 1
+
+    @pytest.mark.parametrize("l,n", [(2, 400), (3, 600)])
+    def test_main_sum_at_scale(self, l, n):
+        # Every v is 200, so each box 200 +- 200**(4/5) spans over 48 terms and
+        # the main fold runs through the Kronecker product.  The conservation
+        # test above cannot see the main sum: the tail is its complement.
+        spec, eta = cp.validate([1], [l]), Fraction(4, 5)
+        ptable = cp.partition_table(n)
+        box = [u for u in range(n + 1) if in_box(u, Fraction(200), eta)]
+        assert len(box) > 48
+        main = 0
+        for us in itertools.product(box, repeat=l - 1):
+            if sum(us) <= n:
+                main += math.prod(ptable[u] for u in us) * ptable[n - sum(us)]
+        assert cp.region_split(spec, n, eta, ptable).main_sum == main
 
     def test_tail_fraction_decreasing(self):
         spec = cp.validate([1], [2])
