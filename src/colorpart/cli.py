@@ -137,10 +137,7 @@ def cmd_exact(args) -> int:
     names = ["convolution", "divisor", "euler"] if args.method == "all" else [args.method]
     for name in names:
         exact.check_series_budget(name, spec, args.n_max, args.budget)
-    series = {}
-    for name in names:
-        kwargs = {"budget": args.budget} if name == "convolution" else {}
-        series[name] = getattr(exact, f"g_series_{name}")(spec, args.n_max, **kwargs)
+    series = {name: getattr(exact, f"g_series_{name}")(spec, args.n_max) for name in names}
     if args.method == "all":
         columns = zip(series["divisor"].coeffs, series["euler"].coeffs,
                       series["convolution"].coeffs)

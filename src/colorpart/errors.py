@@ -14,7 +14,7 @@ class WindowUndefined(ColorpartError):
 
 
 class TooLarge(ColorpartError):
-    """Estimated work for a fold or tuple enumeration exceeds the configured budget."""
+    """Estimated work for a series, a fold or a region split exceeds the configured budget."""
 
 
 class EtaOutOfWindow(ColorpartError, ValueError):

@@ -6,21 +6,24 @@ Three independent series engines, each returning g(0..N):
   color, E(q) = prod_m (1 - q^m), for the generating product: the fast engine,
   O(L * N^1.5) additions.  ``partition_table``, plain p(n), is its s=1;l=1 case.
 * ``g_series_divisor``     -- divisor-sum recurrence from the logarithmic
-  derivative of the generating product, solved by divide and conquer so
-  that most of its N^2/2 multiply-adds run inside a few big-integer
-  products (``_kron``, Kronecker substitution).
+  derivative of the generating product, with weights from one divisor
+  sieve, solved by divide and conquer so that most of its N^2/2
+  multiply-adds run inside a few big-integer products (``_kron``,
+  Kronecker substitution).
 * ``g_series_convolution`` -- the convolution of plain partition counts
-  over constrained tuples: the free colors are folded once, one color at
-  a time, and each g(n) closes with one dot product against p.
+  over constrained tuples: the free colors are folded once by ``_product``,
+  largest modulus first, and each g(n) closes with one dot product against p.
 
-Each serves as an oracle for the others; the test suite enforces three-way
-agreement.
+All three take ``(spec, n_max)`` and check no budget: the caller estimates
+the cost first with ``check_series_budget``.  Each serves as an oracle for
+the others; the test suite enforces three-way agreement.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import repeat
 from math import isqrt
 from operator import add, mul
 
@@ -32,7 +35,6 @@ class Method(enum.Enum):
     DIVISOR_RECURRENCE = "divisor"
     EULER_PRODUCT = "euler"
     TUPLE_CONVOLUTION = "convolution"
-    PENTAGONAL = "pentagonal"
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ def _divide(moduli, n_max: int) -> list[int]:
 
 def partition_table(n_max: int) -> ExactSeries:
     """p(0..n_max), the s=1;l=1 series, by pentagonal division."""
-    return ExactSeries(validate([1], [1]), tuple(_divide((1,), n_max)), Method.PENTAGONAL)
+    return ExactSeries(validate([1], [1]), tuple(_divide((1,), n_max)), Method.EULER_PRODUCT)
 
 
 # Blocks of the divisor recurrence at most this long sum their terms directly.
@@ -100,45 +102,44 @@ _DIVISOR_LEAF = 48
 _KRON_TERMS = 48
 
 
-def _kron(a, b, count: int) -> list[int]:
-    """Coefficients 0..count-1 of the product of polynomials a and b.
+def _kron(a, b, start: int, stop: int) -> list[int]:
+    """Coefficients start..stop-1 of the product of polynomials a and b.
 
     Kronecker substitution: each operand's non-negative integer coefficients
     are packed into one int, in byte slots too wide for any coefficient of
     the product to carry into the next, the two ints are multiplied once
-    (CPython's Karatsuba), and the product is unpacked slot by slot.
+    (CPython's Karatsuba), and only the slots start..stop-1 of the product
+    are unpacked; slots past its end read as 0.
     """
-    if count <= 0:
+    if stop <= start:
         return []
-    a, b = a[:count], b[:count]
+    a, b = a[:stop], b[:stop]
     if not a or not b:
-        return [0] * count
+        return [0] * (stop - start)
     bits = (max(a).bit_length() + max(b).bit_length()
             + min(len(a), len(b)).bit_length() + 1)
     w = (bits + 7) // 8
     x = int.from_bytes(b"".join([v.to_bytes(w, "little") for v in a]), "little")
     y = int.from_bytes(b"".join([v.to_bytes(w, "little") for v in b]), "little")
     data = (x * y).to_bytes((len(a) + len(b)) * w, "little")
-    return [int.from_bytes(data[i:i + w], "little") for i in range(0, count * w, w)]
-
-
-def _sigma1_table(n_max: int) -> list[int]:
-    """Sum-of-divisors sieve sigma_1(1..n_max); index 0 unused."""
-    sig = [0] * (n_max + 1)
-    for d in range(1, n_max + 1):
-        for m in range(d, n_max + 1, d):
-            sig[m] += d
-    return sig
+    return [int.from_bytes(data[i:i + w], "little") for i in range(start * w, stop * w, w)]
 
 
 def divisor_weights(spec: ColoredSpec, n_max: int) -> list[int]:
-    """The recurrence weights b(j) = sum over s_i | j of l_i * s_i * sigma_1(j / s_i)."""
-    sig = _sigma1_table(n_max)
-    b = [0] * (n_max + 1)
+    """The recurrence weights b(j) = sum over s_i | j of l_i * s_i * sigma_1(j / s_i).
+
+    Each divisor d = s_i * e of j contributes l_i * d, so b(j) is the sum
+    over d | j of w(d) = d * (sum of l_i over s_i | d): one sieve adds each
+    w(d) to every multiple of d.
+    """
+    colors = [0] * (n_max + 1)  # colors[d]: sum of l_i over s_i | d
     for si, li in zip(spec.s, spec.l):
-        w = li * si
-        for j in range(si, n_max + 1, si):
-            b[j] += w * sig[j // si]
+        colors[si::si] = map(add, colors[si::si], repeat(li))
+    b = [0] * (n_max + 1)
+    for d in range(1, n_max + 1):
+        w = d * colors[d]
+        for m in range(d, n_max + 1, d):
+            b[m] += w
     return b
 
 
@@ -156,7 +157,7 @@ def _solve_divisor(b, g, acc, lo: int, hi: int) -> None:
     if hi - lo > _DIVISOR_LEAF:
         mid = (lo + hi) // 2
         _solve_divisor(b, g, acc, lo, mid)
-        acc[mid:hi] = map(add, acc[mid:hi], _kron(g[lo:mid], b[:hi - lo], hi - lo)[mid - lo:])
+        acc[mid:hi] = map(add, acc[mid:hi], _kron(g[lo:mid], b[:hi - lo], mid - lo, hi - lo))
         _solve_divisor(b, g, acc, mid, hi)
         return
     for n in range(max(lo, 1), hi):
@@ -222,18 +223,18 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
 def _product(n: int, p, colors) -> list[int]:
     """Coefficients 0..n of the product over ``colors`` of sum_u p[u] * z**(s*u).
 
-    ``colors`` holds one range ``(s_i, lo_i, hi_i)`` of u_i per color.  The
-    colors are folded in the given order, each as a stride-s convolution with
-    p: a color of at least ``_KRON_TERMS`` terms as one ``_kron`` product per
-    residue class mod s that holds a nonzero entry, a shorter one by a loop
-    that skips zero entries, so passing large moduli first keeps the early
-    arrays sparse.  With full ranges ``(s, 0, m // s)`` for some m >= n, the
+    ``colors`` holds one range ``(s_i, lo_i, hi_i)`` of u_i per color, in any
+    order.  The colors are folded largest modulus first, so the early arrays
+    stay sparse, each as a stride-s convolution with p: a color of at least
+    ``_KRON_TERMS`` terms as one ``_kron`` product per residue class mod s
+    that holds a nonzero entry, a shorter one by a loop that skips zero
+    entries.  With full ranges ``(s, 0, m // s)`` for some m >= n, the
     result is the first n + 1 entries of the same product at m: s*u <= t <= n
     already bounds every u that reaches entry t.
     """
     acc = [0] * (n + 1)
     acc[0] = 1
-    for s, lo, hi in colors:
+    for s, lo, hi in sorted(colors, reverse=True):
         terms = p[lo:hi + 1]
         out = [0] * (n + 1)
         if len(terms) >= _KRON_TERMS:
@@ -241,7 +242,7 @@ def _product(n: int, p, colors) -> list[int]:
             for r in range(min(s, n + 1)):
                 row = acc[r::s]
                 if any(row):
-                    out[r + s * lo::s] = _kron(row, terms, len(row) - lo)
+                    out[r + s * lo::s] = _kron(row, terms, 0, len(row) - lo)
         else:
             for t, base in enumerate(acc):
                 if base:
@@ -262,20 +263,19 @@ def _fold(n: int, p, colors) -> int:
 
 
 def _free_colors(spec: ColoredSpec, n: int) -> list[tuple[int, int, int]]:
-    """Full ranges at n of every color but the last s = 1 one, which closes the fold."""
-    return [(si, 0, n // si) for si in sorted(spec.moduli, reverse=True)[:-1]]
+    """Full ranges at n of every color but the first, s = 1 one, which closes the fold."""
+    return [(si, 0, n // si) for si in spec.moduli[1:]]
 
 
 def g_via_tuple_convolution(spec: ColoredSpec, n: int, ptable: ExactSeries,
                             budget: int = DEFAULT_FOLD_BUDGET, *, free=None) -> int:
     """g(n) as the sum over constrained tuples of products of p-values.
 
-    The free colors fold one at a time (a stride-s convolution with the
-    p-series), in decreasing modulus order so the early intermediate arrays
-    stay sparse, and the sum closes with a dot product against p.  ``free``
-    is that product, ``_product`` over ``_free_colors(spec, m)``, at any
-    m >= n; given it, only the dot product runs.  Otherwise the fold runs at
-    n and raises TooLarge when its estimated step count exceeds ``budget``.
+    The free colors fold one at a time (see ``_product``) and the sum
+    closes with a dot product against p.  ``free`` is that product,
+    ``_product`` over ``_free_colors(spec, m)``, at any m >= n; given it,
+    only the dot product runs.  Otherwise the whole fold (``_fold``) runs at
+    n, unless its estimated step count exceeds ``budget``: then TooLarge.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -284,27 +284,23 @@ def g_via_tuple_convolution(spec: ColoredSpec, n: int, ptable: ExactSeries,
     p = ptable.coeffs
     if free is None:
         check_fold_budget(spec.moduli, n, budget)
-        free = _product(n, p, _free_colors(spec, n))
-    elif len(free) <= n:
+        return _fold(n, p, _free_colors(spec, n))
+    if len(free) <= n:
         raise ValueError(f"free-color product covers 0..{len(free) - 1}, need {n}")
     return sum(map(mul, free, p[n::-1]))  # p[n::-1] ends the sum at t = n
 
 
-def g_series_convolution(spec: ColoredSpec, n_max: int,
-                         budget: int = DEFAULT_FOLD_BUDGET) -> ExactSeries:
+def g_series_convolution(spec: ColoredSpec, n_max: int) -> ExactSeries:
     """g(0..n_max) from one fold of the free colors and one dot product per n.
 
     The product over the free colors does not depend on n, so it is folded
-    once at n_max and each g(n) closes against its prefix.  The fold budget
-    at n_max is checked first: an over-budget request raises TooLarge before
-    the p-table is built.
+    once at n_max and each g(n) closes against its prefix.  Like the other
+    engines it checks no budget; ``check_series_budget("convolution", ...)``
+    estimates its fold.
     """
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    check_fold_budget(spec.moduli, n_max, budget)
     ptable = partition_table(n_max)
     free = _product(n_max, ptable.coeffs, _free_colors(spec, n_max))
-    coeffs = tuple(g_via_tuple_convolution(spec, n, ptable, budget, free=free)
+    coeffs = tuple(g_via_tuple_convolution(spec, n, ptable, free=free)
                    for n in range(n_max + 1))
     return ExactSeries(spec=spec, coeffs=coeffs, method=Method.TUPLE_CONVOLUTION)
 

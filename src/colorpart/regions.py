@@ -16,7 +16,8 @@ from fractions import Fraction
 
 import mpmath
 
-from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, _fold, check_budget, check_fold_budget
+from .exact import (DEFAULT_FOLD_BUDGET, ExactSeries, _fold, _free_colors, check_budget,
+                    check_fold_budget)
 from .precision import working_precision
 from .specs import ColoredSpec, require_eta
 
@@ -111,10 +112,9 @@ def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries,
     check_split_budget(spec, n, eta, budget)
 
     v = saddle_tuple(spec, n)
-    free = sorted(zip(spec.moduli[1:], v[1:]), reverse=True)
-
     p = ptable.coeffs
-    total = _fold(n, p, [(si, 0, n // si) for si, _ in free])
-    main_sum = _fold(n, p, [(si, *_box(vi, eta, n // si)) for si, vi in free])
+    total = _fold(n, p, _free_colors(spec, n))
+    main_sum = _fold(n, p, [(si, *_box(vi, eta, n // si))
+                            for si, vi in zip(spec.moduli[1:], v[1:])])
     return RegionSplitReport(spec=spec, n=n, eta=eta, v=tuple(v),
                              main_sum=main_sum, tail_sum=total - main_sum)

@@ -49,9 +49,6 @@ class ColoredSpec:
             ",".join(map(str, self.s)), ",".join(map(str, self.l))
         )
 
-    def to_json(self) -> str:
-        return json.dumps({"s": list(self.s), "l": list(self.l)})
-
     def __str__(self) -> str:
         return self.to_text()
 

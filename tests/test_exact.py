@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -66,7 +67,7 @@ class TestPartitionTable:
             len(list(enumerate_partitions(n))) for n in range(6)
         ]
         assert list(table.coeffs) == [1, 1, 2, 3, 5, 7]
-        assert table.method is cp.Method.PENTAGONAL
+        assert table.method is cp.Method.EULER_PRODUCT
         assert table.spec == cp.validate([1], [1])
 
     def test_n_zero(self):
@@ -103,6 +104,19 @@ class TestDivisorRecurrence:
     def test_g_zero_is_one(self):
         for raw in ([1], [1]), ([1, 4], [2, 1]), ([1, 2, 3], [1, 1, 1]):
             assert cp.g_series_divisor(cp.validate(*raw), 0)[0] == 1
+
+    @pytest.mark.parametrize("seed", [2, 7, 2024])
+    def test_weights_match_their_defining_sum(self, seed):
+        # b(j) = sum over s_i | j of l_i * s_i * sigma_1(j / s_i), with sigma_1
+        # by trial division rather than a sieve.
+        sigma1 = [sum(d for d in range(1, m + 1) if m % d == 0) for m in range(301)]
+        rng = random.Random(seed)
+        for spec in (selftest.random_spec(rng) for _ in range(5)):
+            expected = [sum(li * si * sigma1[j // si]
+                            for si, li in zip(spec.s, spec.l) if j % si == 0)
+                        for j in range(301)]
+            for n_max in (0, 1, exact._DIVISOR_LEAF, 300):
+                assert exact.divisor_weights(spec, n_max) == expected[:n_max + 1], spec
 
     # n_max = 20 is one direct block; b(j) with j >= the leaf size reaches the
     # sums only through a Kronecker product.
@@ -286,27 +300,33 @@ _coefficients = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64),
 
 class TestKronecker:
     @settings(max_examples=60, deadline=None)
-    @given(_coefficients, _coefficients, st.integers(0, 4 * _CUT + 6))
-    @example([], [], 0)
-    @example([], [1, 2], 3)
-    @example([0] * 60, [0] * 50, 120)
-    @example([7], [9], 1)
-    @example([7], [9], 0)
-    @example([2**10001 + 5], [3, 2**10003], 4)
-    @example([2**10000] * (_CUT - 1), [2**10001 - 1] * (_CUT + 1), 2 * _CUT)
-    @example([1] * _CUT, [2**64] * _CUT, 2 * _CUT - 1)
-    def test_matches_schoolbook(self, a, b, count):
-        assert exact._kron(a, b, count) == convolve(a, b, count - 1)
+    @given(_coefficients, _coefficients, st.integers(0, _CUT), st.integers(0, 4 * _CUT + 6))
+    @example([], [], 0, 0)
+    @example([], [1, 2], 0, 3)
+    @example([0] * 60, [0] * 50, 0, 120)
+    @example([7], [9], 0, 1)
+    @example([7], [9], 0, 0)
+    @example([2**10001 + 5], [3, 2**10003], 0, 4)
+    @example([2**10000] * (_CUT - 1), [2**10001 - 1] * (_CUT + 1), 0, 2 * _CUT)
+    @example([1] * _CUT, [2**64] * _CUT, 0, 2 * _CUT - 1)
+    @example([3, 1, 4], [1, 5, 9, 2], 2, 5)
+    @example([3, 1, 4], [1, 5, 9, 2], 3, 3)
+    @example([3, 1, 4], [1, 5, 9, 2], 4, 10)
+    @example([2**10000] * _CUT, [2**64 - 1] * (_CUT + 3), _CUT, 3 * _CUT)
+    def test_matches_schoolbook(self, a, b, start, stop):
+        assert exact._kron(a, b, start, stop) == convolve(a, b, stop - 1)[start:]
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 300),
            st.lists(st.tuples(st.integers(1, 9), st.integers(0, 150), st.integers(0, 150)),
                     min_size=1, max_size=3))
     def test_product_matches_direct_fold(self, ptable_2000, n, ranges):
-        # Ranges with lo > 0 are the region split's boxes.
+        # Ranges with lo > 0 are the region split's boxes; _product picks the
+        # fold order itself, so every order of the colors gives one list.
         colors = [(s, lo, lo + width) for s, lo, width in ranges]
-        assert exact._product(n, ptable_2000.coeffs, colors) == direct_product(
-            n, ptable_2000.coeffs, colors)
+        expected = direct_product(n, ptable_2000.coeffs, colors)
+        for order in itertools.permutations(colors):
+            assert exact._product(n, ptable_2000.coeffs, list(order)) == expected
 
 
 def convolve(xs, ys, n_max):
