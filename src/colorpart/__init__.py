@@ -30,7 +30,7 @@ from .exact import (
     g_via_tuple_convolution,
     partition_table,
 )
-from .precision import default_bits, set_default_bits, working_precision
+from .precision import working_precision
 from .regions import (
     RegionSplitReport,
     region_split,
@@ -86,7 +86,6 @@ __all__ = [
     "RegionSplitReport",
     "comparison_table",
     "constants",
-    "default_bits",
     "det_closed_form",
     "eta_window",
     "fit_error_exponent",
@@ -105,7 +104,6 @@ __all__ = [
     "partition_table",
     "region_split",
     "saddle_tuple",
-    "set_default_bits",
     "sum_vs_integral",
     "truncation_error_bound",
     "validate",

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import mpmath
 
 from .errors import InsufficientData, NonPositive
-from .exact import ExactSeries, g_series_divisor
-from .precision import default_bits, working_precision
+from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, check_series_budget, g_series_divisor
+from .precision import DEFAULT_BITS, working_precision
 from .specs import AsymptoticConstants, ColoredSpec, constants
 
 
@@ -37,7 +37,7 @@ class ExponentFit:
     n_range: tuple[int, int]
 
 
-def ln_of_bigint(x: int, prec: int | None = None) -> mpmath.mpf:
+def ln_of_bigint(x: int, prec: int = DEFAULT_BITS) -> mpmath.mpf:
     """Natural log of an arbitrary-size positive integer.
 
     mpmath rounds x to the working significand and tracks the bit-length in
@@ -53,7 +53,7 @@ def ln_of_bigint(x: int, prec: int | None = None) -> mpmath.mpf:
 def ln_main_term(
     consts: AsymptoticConstants, n: int, prec: int | None = None
 ) -> mpmath.mpf:
-    """ln M(n) = ln c + d*ln n + exp_coeff*sqrt(n), all in extended precision."""
+    """ln M(n) = ln c + d*ln n + exp_coeff*sqrt(n), at ``prec`` bits (default: consts.prec)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     bits = prec if prec is not None else consts.prec
@@ -66,27 +66,30 @@ def comparison_table(
     spec: ColoredSpec,
     ns: list[int],
     series: ExactSeries | None = None,
-    prec: int | None = None,
+    prec: int = DEFAULT_BITS,
+    budget: int = DEFAULT_FOLD_BUDGET,
 ) -> list[ComparisonRow]:
     """One ComparisonRow per requested n (ascending), rows independent.
 
     If no precomputed series is supplied the divisor recurrence is run up to
-    max(ns).
+    max(ns), after ``check_series_budget`` has checked its steps against
+    ``budget`` (TooLarge when over).  An empty or non-positive ``ns`` raises
+    ValueError before that check.
     """
-    bits = prec if prec is not None else default_bits()
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
         raise ValueError("need n values >= 1")
     if series is None:
+        check_series_budget("divisor", spec, ns[-1], budget)
         series = g_series_divisor(spec, ns[-1])
     if len(series) <= ns[-1]:
         raise ValueError(f"series covers 0..{len(series) - 1}, need {ns[-1]}")
-    consts = constants(spec, prec=bits)
+    consts = constants(spec, prec=prec)
     rows = []
-    with working_precision(bits):
+    with working_precision(prec):
         for n in ns:
-            ln_exact = ln_of_bigint(series[n], prec=bits)
-            ln_main = ln_main_term(consts, n, prec=bits)
+            ln_exact = ln_of_bigint(series[n], prec=prec)
+            ln_main = ln_main_term(consts, n, prec=prec)
             rel_err = +mpmath.expm1(ln_exact - ln_main)
             rows.append(ComparisonRow(n=n, ln_exact=ln_exact, ln_main=ln_main, rel_err=rel_err))
     return rows

@@ -20,7 +20,7 @@ import mpmath
 
 from . import asymptotic, exact, regions, specs
 from .errors import ColorpartError, InsufficientData, OracleMismatch, TooLarge
-from .precision import set_default_bits
+from .precision import DEFAULT_BITS, MIN_BITS
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -36,8 +36,8 @@ def _add_spec_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_common_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--precision-bits", type=int, default=None,
-                   help="significand bits for extended-precision work (default 128)")
+    p.add_argument("--precision-bits", type=int, default=DEFAULT_BITS,
+                   help=f"significand bits for extended-precision work (default {DEFAULT_BITS})")
     p.add_argument("--output", default=None, metavar="PATH",
                    help="write results to PATH instead of stdout")
 
@@ -158,7 +158,7 @@ def cmd_exact(args) -> int:
 
 def cmd_asymptotic(args) -> int:
     spec = _resolve_spec(args)
-    consts = specs.constants(spec)
+    consts = specs.constants(spec, prec=args.precision_bits)
     ln_main = {n: asymptotic.ln_main_term(consts, n) for n in _parse_ns(args)}
     _emit(args, {"spec": spec, "a": consts.a, "d": consts.d, "c": consts.c,
                  "exp_coeff": consts.exp_coeff, "ln_main": ln_main},
@@ -172,11 +172,8 @@ def _comparison_rows(args):
     spec = _resolve_spec(args)
     if not (args.n_geom or args.n_list):
         raise InsufficientData("provide --n-geom START:STOP or --n-list N1,N2,...")
-    ns = _parse_ns(args)
-    # comparison_table words the error for an empty or non-positive list.
-    if ns and min(ns) >= 1:
-        exact.check_series_budget("divisor", spec, max(ns), args.budget)
-    return asymptotic.comparison_table(spec, ns)
+    return asymptotic.comparison_table(spec, _parse_ns(args), prec=args.precision_bits,
+                                       budget=args.budget)
 
 
 def cmd_compare(args) -> int:
@@ -200,18 +197,19 @@ def cmd_fit(args) -> int:
 
 
 def cmd_regions(args) -> int:
-    spec = _resolve_spec(args)
-    eta = specs.require_eta(spec, args.eta)
-    regions.check_split_budget(spec, args.n, eta, args.budget)  # before the p-table
-    ptable = exact.partition_table(args.n)
-    report = regions.region_split(spec, args.n, eta, ptable, budget=args.budget)
-    _emit(args, {"spec": spec, "n": report.n, "eta": report.eta, "v": report.v,
+    report = regions.region_split(_resolve_spec(args), args.n, args.eta, budget=args.budget)
+    _emit(args, {"spec": report.spec, "n": report.n, "eta": report.eta, "v": report.v,
                  "main_sum": str(report.main_sum), "tail_sum": str(report.tail_sum),
-                 "tail_fraction": mpmath.nstr(report.tail_fraction(), 17)})
+                 "tail_fraction": mpmath.nstr(report.tail_fraction(args.precision_bits), 17)})
     return EXIT_OK
 
 
 def cmd_quadform(args) -> int:
+    # Each trial draws a form and eliminates a matrix of up to k**3 steps.
+    # A non-positive --k or --trials goes on to det_trials, which words it.
+    if args.trials > 0 and args.k > 0:
+        exact.check_budget(args.trials * (args.k**3 + 1), "determinant steps",
+                           exact.DEFAULT_FOLD_BUDGET)
     from . import quadform  # numpy loads only for this command and selftest
 
     results = []
@@ -312,13 +310,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
-    if getattr(args, "precision_bits", None) is not None:
-        try:
-            set_default_bits(args.precision_bits)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
     try:
+        # Every command checks it, so its exit code does not depend on which ones use it.
+        if args.precision_bits < MIN_BITS:
+            raise ValueError(f"precision must be >= {MIN_BITS} bits, got {args.precision_bits}")
         return args.func(args)
     except OracleMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -332,8 +327,6 @@ def main(argv=None) -> int:
     except ColorpartError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
-    finally:
-        set_default_bits(None)
 
 
 if __name__ == "__main__":

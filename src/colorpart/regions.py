@@ -17,8 +17,8 @@ from fractions import Fraction
 import mpmath
 
 from .exact import (DEFAULT_FOLD_BUDGET, ExactSeries, _fold, _free_colors, check_budget,
-                    check_fold_budget)
-from .precision import working_precision
+                    check_fold_budget, partition_table)
+from .precision import DEFAULT_BITS, working_precision
 from .specs import ColoredSpec, require_eta
 
 
@@ -35,8 +35,8 @@ class RegionSplitReport:
     def total(self) -> int:
         return self.main_sum + self.tail_sum
 
-    def tail_fraction(self) -> mpmath.mpf:
-        with working_precision():
+    def tail_fraction(self, prec: int = DEFAULT_BITS) -> mpmath.mpf:
+        with working_precision(prec):
             return +(mpmath.mpf(self.tail_sum) / self.total)
 
 
@@ -90,7 +90,7 @@ def check_split_budget(spec: ColoredSpec, n: int, eta: Fraction, budget: int) ->
     check_budget(est, "box-test steps", budget)
 
 
-def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries,
+def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries | None = None,
                  budget: int = DEFAULT_FOLD_BUDGET) -> RegionSplitReport:
     """Exactly split the tuple sum for g(n) at box-width exponent eta.
 
@@ -99,17 +99,20 @@ def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries,
     as tail.  u_{1,1} is exempt and absorbs the remainder of the linear
     constraint (s_1 = 1 makes it always integral).  Both the whole sum and
     the main sum are one fold over the free colors, the main one with each
-    color's range cut to its box; the tail is their difference.  Raises
-    WindowUndefined or EtaOutOfWindow (from ``require_eta``) for an
-    inadmissible eta, and TooLarge when ``check_split_budget``'s estimate
-    exceeds ``budget``.
+    color's range cut to its box; the tail is their difference.
+
+    The checks run before any table is built: WindowUndefined or
+    EtaOutOfWindow (from ``require_eta``) for an inadmissible eta, then
+    TooLarge when ``check_split_budget``'s estimate exceeds ``budget`` (its
+    ``saddle_tuple`` raises ValueError for n < 1).  ``ptable``, p(0..n) or
+    longer, is built by ``partition_table`` when not given.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if len(ptable) <= n:
-        raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
     eta = require_eta(spec, eta)
     check_split_budget(spec, n, eta, budget)
+    if ptable is None:
+        ptable = partition_table(n)
+    elif len(ptable) <= n:
+        raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
 
     v = saddle_tuple(spec, n)
     p = ptable.coeffs

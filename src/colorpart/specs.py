@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import EtaOutOfWindow, SpecError, WindowUndefined
-from .precision import default_bits, working_precision
+from .precision import DEFAULT_BITS, working_precision
 
 ETA_LOWER = Fraction(3, 4)
 ETA_CAP = Fraction(5, 6)
@@ -146,17 +146,16 @@ class AsymptoticConstants:
     prec: int
 
 
-def constants(spec: ColoredSpec, prec: int | None = None) -> AsymptoticConstants:
+def constants(spec: ColoredSpec, prec: int = DEFAULT_BITS) -> AsymptoticConstants:
     """Evaluate the prefactor, power, and exponential coefficient for a spec.
 
     Exponents are assembled as exact rationals and converted to floats in a
     single powering step each, so no rounding accumulates across the product.
     """
-    bits = prec if prec is not None else default_bits()
     a = spec.growth_rate()
     total = spec.total_colors()
     d = Fraction(-3, 4) - Fraction(total, 4)
-    with working_precision(bits):
+    with working_precision(prec):
         mpf = mpmath.mpf
         c = mpf(2) ** (mpf(-(3 * total + 5)) / 4)
         c *= mpf(3) ** (mpf(-(total + 1)) / 4)
@@ -164,7 +163,7 @@ def constants(spec: ColoredSpec, prec: int | None = None) -> AsymptoticConstants
         for si, li in zip(spec.s, spec.l):
             c *= mpf(si) ** (mpf(li) / 2)
         exp_coeff = mpmath.pi * mpmath.sqrt(mpf(2 * a.numerator) / (3 * a.denominator))
-        return AsymptoticConstants(a=a, d=d, c=+c, exp_coeff=+exp_coeff, prec=bits)
+        return AsymptoticConstants(a=a, d=d, c=+c, exp_coeff=+exp_coeff, prec=prec)
 
 
 @dataclass(frozen=True)

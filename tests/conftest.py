@@ -1,7 +1,7 @@
 import pytest
 
 import colorpart as cp
-from colorpart import selftest
+from colorpart import asymptotic, exact, regions, selftest
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +23,19 @@ def ptable_2000():
 def classical_series_deep(classical_spec):
     """Classical series to n=8192, from the acceptance battery's cached builder."""
     return selftest.anchor_series(classical_spec)
+
+
+@pytest.fixture
+def forbid(monkeypatch):
+    """forbid(*names): each named ``exact`` function fails the test if it is
+    called, under every module name that holds it."""
+    def forbid(*names):
+        for name in names:
+            original = getattr(exact, name)
+
+            def called(*args, name=name, **kwargs):
+                raise AssertionError(f"exact.{name} called")
+            for mod in (exact, asymptotic, regions):
+                if getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, called)
+    return forbid

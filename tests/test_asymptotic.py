@@ -102,6 +102,20 @@ class TestComparisonTable:
         with mpmath.workprec(256):
             assert abs(lo - hi) < mpmath.mpf(10) ** -20 * abs(hi)
 
+    def test_budget_checked_before_the_series(self, classical_spec, classical_series_deep,
+                                              forbid):
+        forbid("g_series_divisor")
+        with pytest.raises(errors.TooLarge,
+                           match="^estimated 820 divisor steps exceeds budget 10$"):
+            cp.comparison_table(classical_spec, [10, 40], budget=10)
+        for ns in ([], [0, 40], [-5]):  # worded before the budget is checked
+            with pytest.raises(ValueError, match="^need n values >= 1$"):
+                cp.comparison_table(classical_spec, ns, budget=0)
+        # A given series is not built, so no budget applies to it.
+        (row,) = cp.comparison_table(classical_spec, [100], series=classical_series_deep,
+                                     budget=0)
+        assert row.n == 100 and -0.1 < row.rel_err < 0
+
     def test_strict_decrease_beyond_512(self, classical_spec, classical_series_deep):
         ns = cp.geometric_grid(512, 8192)
         rows = cp.comparison_table(classical_spec, ns, series=classical_series_deep)

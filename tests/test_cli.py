@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from colorpart import asymptotic, cli, exact, selftest
+from colorpart import cli, exact, quadform, selftest
 
 GOLDEN_EXACT_CSV = "n,g\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n"
 GOLDEN_QUADFORM_SEED_7 = """1..5
@@ -90,14 +90,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def forbid(monkeypatch, *names):
-    """Make each named ``exact`` function fail the test if it is called."""
-    for name in names:
-        def called(*args, name=name, **kwargs):
-            raise AssertionError(f"exact.{name} called")
-        monkeypatch.setattr(exact, name, called)
-
-
 @pytest.mark.parametrize("argv,text", GOLDEN)
 def test_golden_output(capsys, tmp_path, argv, text):
     assert run(capsys, *argv) == (0, text, "")
@@ -155,8 +147,8 @@ class TestExact:
         assert code == 4
 
     @pytest.mark.parametrize("method", ["convolution", "all", "divisor", "euler"])
-    def test_budget_refused_before_any_work(self, capsys, monkeypatch, method):
-        forbid(monkeypatch, "partition_table", "g_series_convolution", "g_series_divisor",
+    def test_budget_refused_before_any_work(self, capsys, forbid, method):
+        forbid("partition_table", "g_series_convolution", "g_series_divisor",
                "g_series_euler")
         code, out, err = run(capsys, "exact", "--spec", "s=1;l=3", "--n-max", "500",
                              "--method", method, "--budget", "10")
@@ -249,18 +241,6 @@ class TestAsymptotic:
         c256 = json.loads(out256)["c"]
         assert c128[:20] == c256[:20]
 
-    def test_env_var_precision(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLORPART_PRECISION_BITS", "256")
-        code, out, _ = run(capsys, "asymptotic", "--spec", "s=1;l=1",
-                           "--format", "json")
-        assert code == 0
-        assert json.loads(out)["c"].startswith("0.144337567297406")
-
-    def test_env_var_precision_not_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("COLORPART_PRECISION_BITS", "abc")
-        assert run(capsys, "compare", "--spec", "s=1;l=1", "--n-list", "16") == (
-            2, "", "error: COLORPART_PRECISION_BITS must be an integer, got 'abc'\n")
-
 
 class TestCompareAndFit:
     @pytest.mark.parametrize("command", ["asymptotic", "compare"])
@@ -280,6 +260,13 @@ class TestCompareAndFit:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag} must be ") and err.endswith(f"got {value!r}\n")
 
+    def test_precision_bits_reach_the_table(self, capsys):
+        argv = ["compare", "--spec", "s=1;l=1", "--n-list", "16,64", "--format", "json"]
+        rows = {bits: json.loads(run(capsys, *argv, "--precision-bits", bits)[1])
+                for bits in ("64", "256")}
+        assert rows["64"] != rows["256"]
+        assert rows["64"][1]["ln_exact"][:15] == rows["256"][1]["ln_exact"][:15]
+
     def test_compare_csv_schema(self, capsys):
         code, out, _ = run(capsys, "compare", "--spec", "s=1;l=1",
                            "--n-list", "16,64")
@@ -290,11 +277,8 @@ class TestCompareAndFit:
 
     @pytest.mark.parametrize("command,flag,value", [("compare", "--n-list", "200000"),
                                                     ("fit", "--n-geom", "25000:200000")])
-    def test_over_budget_exits_4_before_the_series(self, capsys, monkeypatch,
-                                                   command, flag, value):
-        forbid(monkeypatch, "g_series_divisor")
-        # comparison_table calls the recurrence by the name it imported.
-        monkeypatch.setattr(asymptotic, "g_series_divisor", exact.g_series_divisor)
+    def test_over_budget_exits_4_before_the_series(self, capsys, forbid, command, flag, value):
+        forbid("g_series_divisor")
         assert run(capsys, command, "--spec", "s=1;l=1", flag, value) == (
             4, "", "error: estimated 20000100000 divisor steps exceeds budget 1000000000\n")
         assert run(capsys, command, "--spec", "s=1;l=1", "--n-list", "64,512",
@@ -350,8 +334,8 @@ class TestRegions:
         assert (code, out) == (4, "")
         assert err == "error: estimated 181202 fold steps exceeds budget 10\n"
 
-    def test_budget_refused_before_the_table(self, capsys, monkeypatch):
-        forbid(monkeypatch, "partition_table")
+    def test_budget_refused_before_the_table(self, capsys, forbid):
+        forbid("partition_table")
         code, out, err = run(capsys, "regions", "--spec", "s=1;l=2", "--n", "30000",
                              "--budget", "10")
         assert (code, out) == (4, "")
@@ -367,9 +351,9 @@ class TestRegions:
         g200 = cp.g_series_divisor(cp.validate([1], [6]), 200)[200]
         assert int(obj["main_sum"]) + int(obj["tail_sum"]) == g200
 
-    def test_fine_grained_eta_refused_before_the_table(self, capsys, monkeypatch):
+    def test_fine_grained_eta_refused_before_the_table(self, capsys, forbid):
         # The box test raises integers to the power 10**8 at this eta.
-        forbid(monkeypatch, "partition_table")
+        forbid("partition_table")
         code, out, err = run(capsys, "regions", "--spec", "s=1;l=2", "--n", "100",
                              "--eta", "0.80000001")
         assert (code, out) == (4, "")
@@ -404,6 +388,17 @@ class TestQuadform:
         code, out, err = run(capsys, "quadform", *argv)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {name} must be >= 1")
+
+    @pytest.mark.parametrize("argv,estimate", [
+        (["--k", "100000", "--trials", "1"], 10**15 + 1),
+        (["--k", "8", "--trials", "100000000"], 10**8 * (8**3 + 1)),
+    ], ids=["large-k", "many-trials"])
+    def test_over_budget_exits_4_before_any_draw(self, capsys, monkeypatch, argv, estimate):
+        def det_trials(*args):
+            raise AssertionError("quadform.det_trials called")
+        monkeypatch.setattr(quadform, "det_trials", det_trials)
+        assert run(capsys, "quadform", *argv) == (
+            4, "", f"error: estimated {estimate} determinant steps exceeds budget 1000000000\n")
 
     def test_seeded_reproducibility(self, capsys):
         assert run(capsys, "quadform", "--trials", "5", "--rng-seed", "7") == (
@@ -454,6 +449,12 @@ class TestUsage:
         assert code == 2
 
     def test_precision_too_low(self, capsys):
-        code, _, err = run(capsys, "asymptotic", "--spec", "s=1;l=1",
-                           "--precision-bits", "32")
-        assert code == 2
+        # Every command checks --precision-bits, whether or not it uses it.
+        for argv in (["exact", "--spec", "s=1;l=1", "--n-max", "5"],
+                     ["asymptotic", "--spec", "s=1;l=1"],
+                     ["compare", "--spec", "s=1;l=1", "--n-list", "16"],
+                     ["fit", "--spec", "s=1;l=1", "--n-geom", "64:1024"],
+                     ["regions", "--spec", "s=1;l=2", "--n", "100"],
+                     ["quadform"], ["selftest"]):
+            assert run(capsys, *argv, "--precision-bits", "32") == (
+                2, "", "error: precision must be >= 64 bits, got 32\n"), argv[0]

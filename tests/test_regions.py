@@ -133,6 +133,7 @@ class TestRegionSplit:
             rep = cp.region_split(spec, n, Fraction(4, 5), ptable)
             main, tail = brute_force_split(spec, n, Fraction(4, 5), ptable)
             assert (rep.main_sum, rep.tail_sum) == (main, tail), (raw, n)
+            assert cp.region_split(spec, n, Fraction(4, 5)) == rep  # builds its own table
 
     def test_exact_tie_is_tail(self):
         # s=1;l=2 at n=64: v = 32 and v**(4/5) = 16 exactly, so u = 16 and u = 48
@@ -154,15 +155,20 @@ class TestRegionSplit:
         for u in enumerate_tuples(spec, n):
             assert sum(math.sqrt(x) for x in u) <= bound + 1e-9
 
-    def test_precondition(self):
-        with pytest.raises(errors.WindowUndefined):
-            cp.region_split(cp.validate([1], [1]), 50, Fraction(4, 5),
-                            cp.partition_table(50))
+    # Each refusal comes before any table is built, whether or not one is given.
+    def test_precondition(self, forbid):
+        ptable = cp.partition_table(50)
+        forbid("partition_table")
+        for table in (ptable, None):
+            with pytest.raises(errors.WindowUndefined):
+                cp.region_split(cp.validate([1], [1]), 50, Fraction(4, 5), table)
 
-    def test_eta_out_of_window(self):
-        with pytest.raises(errors.EtaOutOfWindow):
-            cp.region_split(cp.validate([1], [2]), 50, Fraction(9, 10),
-                            cp.partition_table(50))
+    def test_eta_out_of_window(self, forbid):
+        ptable = cp.partition_table(50)
+        forbid("partition_table")
+        for table in (ptable, None):
+            with pytest.raises(errors.EtaOutOfWindow):
+                cp.region_split(cp.validate([1], [2]), 50, Fraction(9, 10), table)
 
     def test_box_test_cost_is_budgeted(self):
         spec = cp.validate([1], [2])
@@ -173,8 +179,17 @@ class TestRegionSplit:
         rep = cp.region_split(spec, 100, Fraction(8001, 10000), ptable)
         assert rep.total == cp.g_series_divisor(spec, 100)[100]
 
-    def test_budget(self):
-        spec = cp.validate([1], [3])
-        with pytest.raises(errors.TooLarge):
-            cp.region_split(spec, 200, Fraction(4, 5), cp.partition_table(200),
-                            budget=100)
+    def test_budget(self, forbid):
+        spec, ptable = cp.validate([1], [3]), cp.partition_table(200)
+        forbid("partition_table")
+        for table in (ptable, None):
+            with pytest.raises(errors.TooLarge):
+                cp.region_split(spec, 200, Fraction(4, 5), table, budget=100)
+
+    def test_short_table_and_bad_n(self):
+        spec = cp.validate([1], [2])
+        with pytest.raises(ValueError, match="^partition table covers 0..49, need 50$"):
+            cp.region_split(spec, 50, Fraction(4, 5), cp.partition_table(49))
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="^n must be >= 1$"):
+                cp.region_split(spec, n, Fraction(4, 5))
