@@ -49,9 +49,8 @@ from .specs import (
 
 __version__ = "0.1.0"
 
-# quadform needs numpy, which takes most of a cold start (scipy loads only in
-# its quadrature paths); it is imported when one of its names is first looked
-# up (PEP 562).
+# quadform needs numpy, which takes most of a cold start, and nothing beyond
+# it; it is imported when one of its names is first looked up (PEP 562).
 _QUADFORM_NAMES = frozenset({
     "QuadFormSpec",
     "det_closed_form",

@@ -28,6 +28,11 @@ EXIT_USAGE = 2
 EXIT_MISMATCH = 3
 EXIT_BUDGET = 4
 
+# Fold steps charged per quadform trial besides its k**3 elimination: a trial
+# (draw, det, TAP line) costs about 18 us at k = 1 and a convolution-series
+# fold step about 45 ns (2-core x86-64 VM, Python 3.11), so 18e-6 / 45e-9.
+_TRIAL_WEIGHT = 400
+
 
 def _add_spec_args(p: argparse.ArgumentParser) -> None:
     group = p.add_mutually_exclusive_group(required=True)
@@ -208,7 +213,7 @@ def cmd_quadform(args) -> int:
     # Each trial draws a form and eliminates a matrix of up to k**3 steps.
     # A non-positive --k or --trials goes on to det_trials, which words it.
     if args.trials > 0 and args.k > 0:
-        exact.check_budget(args.trials * (args.k**3 + 1), "determinant steps",
+        exact.check_budget(args.trials * (args.k**3 + _TRIAL_WEIGHT), "determinant steps",
                            exact.DEFAULT_FOLD_BUDGET)
     from . import quadform  # numpy loads only for this command and selftest
 

@@ -6,11 +6,14 @@ constant off-diagonal a0, and the determinant factors in closed form, which
 makes the full-space Gaussian integral elementary.  The quadrature oracle
 checks it for k <= 2 over a box scaled by the form's smallest eigenvalue,
 so the truncated mass stays below exp(-64) per coordinate however flat the
-form; Monte Carlo checks it for larger k.
+form; Monte Carlo checks it for larger k.  Both the quadrature oracle and
+``sum_vs_integral`` run one numpy Gauss-Kronrod kernel (``_gk15``), so the
+module needs numpy only.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,6 +28,25 @@ _MC_BLOCK = 4096
 _BOX = 8.0
 # Uniform grid points on which sum_vs_integral estimates max|f|.
 _GRID_POINTS = 10**4
+
+# QUADPACK's qk15 rule on [-1, 1], from the node nearest 1 down to the
+# centre: the 15 Kronrod nodes (mirrored), their weights, and the weights of
+# the 7-point Gauss rule on every other node (0 elsewhere).
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467771423780,
+       0.0, 0.381830050505118944950369775488975, 0.0, 0.417959183673469387755102040816327)
+_NODES = np.array([-x for x in _XK] + list(_XK[-2::-1]))
+_KRONROD = np.array(_WK + _WK[-2::-1])
+_GAUSS = np.array(_WG + _WG[-2::-1])
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -49,6 +71,66 @@ class QuadFormSpec:
         m = np.full((self.k, self.k), self.a0, dtype=float)
         m[np.diag_indices(self.k)] += np.asarray(self.a_rest)
         return m
+
+
+def _gk15_rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """qk15 on the intervals [lo_j, hi_j] with one call of f: (values, errors).
+
+    Values have shape (intervals, *shape of one node's values).  An
+    interval's error is its largest component's, estimated as QUADPACK
+    does: the Kronrod-Gauss difference, sharpened by (200*diff/resasc)**1.5
+    and floored at 50 ulps of the integral of |f|.
+    """
+    centre, half = (lo + hi) / 2, (hi - lo) / 2
+    fx = np.asarray(f((centre[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
+    shape = fx.shape[1:]
+    fx = fx.reshape(len(lo), 15, -1)
+    h = half[:, None]
+    with np.errstate(all="ignore"):  # a non-finite f gives a NaN error, not a warning
+        kron = _KRONROD @ fx
+        mean = kron / 2  # the mean value of f over each interval
+        resk = h * kron
+        diff = np.abs(resk - h * (_GAUSS @ fx))
+        resasc = h * (_KRONROD @ np.abs(fx - mean[:, None, :]))
+        resabs = h * (_KRONROD @ np.abs(fx))
+        sharp = resasc * np.minimum(1.0, (200 * diff / resasc) ** 1.5)
+        err = np.where((resasc != 0) & (diff != 0), sharp, diff)
+        err = np.where(resabs > _TINY / (50 * _EPS), np.maximum(50 * _EPS * resabs, err), err)
+    return resk.reshape(len(lo), *shape), err.max(axis=1)
+
+
+def _gk15(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
+          limit: int = 50):
+    """Integral of f over [a, b] by adaptive Gauss-Kronrod 7/15: (value, error).
+
+    ``f`` maps a 1-D array of nodes to an array of values, one entry (or
+    row, for a vector-valued integrand) per node, so each step evaluates it
+    once.  Global bisection as in QUADPACK's qage: the interval with the
+    largest error is halved until the summed error is at most
+    max(epsabs, epsrel * |value|), |value| its largest component; both
+    tolerances default to QUADPACK's usual 1.49e-8.  Returns a float for a
+    scalar integrand, else an array shaped like one node's values; the
+    error bounds every component.  Raises QuadratureFailure when ``limit``
+    subintervals do not meet the tolerance, a non-finite error included.
+    """
+    val, err = _gk15_rule(f, np.array([a], dtype=float), np.array([b], dtype=float))
+    heap = [(-err[0], a, b, val[0])]  # worst interval first
+    total, errsum = val[0].copy(), float(err[0])
+    with np.errstate(invalid="ignore"):  # inf - inf when f is not finite
+        while not errsum <= max(epsabs, epsrel * float(np.abs(total).max())):
+            if len(heap) >= limit:
+                raise QuadratureFailure(
+                    f"{limit} subintervals leave error estimate {errsum}, above tolerance")
+            neg_err, lo, hi, old = heapq.heappop(heap)
+            mid = (lo + hi) / 2
+            vals, errs = _gk15_rule(f, np.array([lo, mid]), np.array([mid, hi]))
+            heapq.heappush(heap, (-errs[0], lo, mid, vals[0]))
+            heapq.heappush(heap, (-errs[1], mid, hi, vals[1]))
+            total += vals[0] + vals[1] - old
+            errsum += float(errs[0] + errs[1]) + neg_err
+    value = np.sum([v for *_, v in heap], axis=0)
+    errsum = math.fsum(-e for e, *_ in heap)
+    return (float(value) if value.ndim == 0 else value), errsum
 
 
 def det_closed_form(q: QuadFormSpec) -> float:
@@ -112,23 +194,33 @@ def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
     the scaled form, coefficients a_i/lam, is >= |y|^2, so the mass outside
     the box [-8, 8]^k is at most sqrt(pi)*erfc(8) per coordinate, below
     ``truncation_error_bound(8)``, for every form.  Returns the scaled
-    integral times lam**(-k/2).
+    integral times lam**(-k/2).  For k = 2 the kernel nests: one inner call
+    integrates over y at every outer node of a step at once, and the error
+    adds 16 times the largest inner error to the outer one.  Raises
+    QuadratureFailure when the error estimate exceeds 1e-6.
     """
-    from scipy import integrate  # scipy loads only for the two quadrature paths
-
     lam = float(np.linalg.eigvalsh(q.matrix())[0])
     a0 = q.a0 / lam
     if q.k == 1:
         a = a0 + q.a_rest[0] / lam
-        val, err = integrate.quad(lambda x: math.exp(-a * x * x), -_BOX, _BOX,
-                                  epsabs=1e-9)
+        val, err = _gk15(lambda x: np.exp(-a * x * x), -_BOX, _BOX, epsabs=1e-9)
     elif q.k == 2:
         a1, a2 = (a / lam for a in q.a_rest)
+        inner_err = 0.0
 
-        def f(y, x):
-            return math.exp(-(a0 * (x + y) ** 2 + a1 * x * x + a2 * y * y))
+        def outer(x):
+            nonlocal inner_err
+            ax = a1 * x * x
+            # One shared partition of y for all len(x) integrals, so the limit
+            # is the 50 subintervals each had when integrated on its own.
+            vals, err = _gk15(lambda y: np.exp(-(a0 * (x + y[:, None]) ** 2 + ax
+                                                 + a2 * y[:, None] ** 2)),
+                              -_BOX, _BOX, epsabs=1e-9, limit=50 * len(x))
+            inner_err = max(inner_err, err)
+            return vals
 
-        val, err = integrate.dblquad(f, -_BOX, _BOX, -_BOX, _BOX, epsabs=1e-9)
+        val, err = _gk15(outer, -_BOX, _BOX, epsabs=1e-9)
+        err += 2 * _BOX * inner_err  # each outer node's value is off by <= inner_err
     else:
         raise ValueError("quadrature oracle supports k <= 2; use Monte Carlo above")
     if err > 1e-6:
@@ -196,18 +288,17 @@ def sum_vs_integral(
 
     ``m`` is the caller-asserted number of interior critical points of f.
     Returns (sum, integral, bound) with bound = 2 * (m + 1) * max|f|, the
-    max estimated on a uniform grid plus endpoints.  Raises
-    SumIntegralBoundError if |sum - integral| exceeds the bound and
+    max estimated on a uniform grid plus endpoints.  The integral is
+    ``_gk15``'s at relative tolerance 1e-10 with at most 500 subintervals.
+    Raises SumIntegralBoundError if |sum - integral| exceeds the bound and
     QuadratureFailure if the integral cannot be trusted.
     """
     if b - a < 1:
         raise ValueError("interval must have length >= 1")
     if m < 0:
         raise ValueError("critical-point count must be >= 0")
-    from scipy import integrate
-
     lattice = sum(f(n) for n in range(math.ceil(a), math.floor(b) + 1))
-    val, err = integrate.quad(f, a, b, epsrel=1e-10, limit=500)
+    val, err = _gk15(lambda xs: [f(x) for x in xs.tolist()], a, b, epsrel=1e-10, limit=500)
     if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):
         raise QuadratureFailure(f"integral {val} with error estimate {err}")
     xs = np.linspace(a, b, _GRID_POINTS)

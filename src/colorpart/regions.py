@@ -73,21 +73,25 @@ def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
     return lo, hi
 
 
-def check_split_budget(spec: ColoredSpec, n: int, eta: Fraction, budget: int) -> None:
+def check_split_budget(spec: ColoredSpec, n: int, eta: Fraction, budget: int) -> list[Fraction]:
     """Raise TooLarge if splitting g(n) at eta takes over ``budget`` steps.
 
     Beside the fold steps, each end of a color's box costs about
     bits(n//s + 1) box tests, whose powers reach B = (a + b) * bits(n * vd)
     bits for eta = a/b, v = vn/vd; one is counted as (B/64)**1.5 word
-    products, just under Karatsuba's exponent log2(3).
+    products, just under Karatsuba's exponent log2(3).  The saddle tuple
+    comes first, so n < 1 raises its ValueError before any estimate; it is
+    returned for the split.
     """
+    v = saddle_tuple(spec, n)
     free = spec.moduli[1:]
     check_fold_budget(free, n, budget)
     est = 0
-    for si, vi in zip(free, saddle_tuple(spec, n)[1:]):
+    for si, vi in zip(free, v[1:]):
         words = (eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
         est += 2 * (n // si + 1).bit_length() * math.isqrt(words**3)
     check_budget(est, "box-test steps", budget)
+    return v
 
 
 def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries | None = None,
@@ -103,18 +107,18 @@ def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries | None = No
 
     The checks run before any table is built: WindowUndefined or
     EtaOutOfWindow (from ``require_eta``) for an inadmissible eta, then
-    TooLarge when ``check_split_budget``'s estimate exceeds ``budget`` (its
-    ``saddle_tuple`` raises ValueError for n < 1).  ``ptable``, p(0..n) or
-    longer, is built by ``partition_table`` when not given.
+    ValueError for n < 1 (from ``saddle_tuple``, before any estimate), then
+    TooLarge when ``check_split_budget``'s estimate exceeds ``budget``.
+    ``ptable``, p(0..n) or longer, is built by ``partition_table`` when not
+    given.
     """
     eta = require_eta(spec, eta)
-    check_split_budget(spec, n, eta, budget)
+    v = check_split_budget(spec, n, eta, budget)
     if ptable is None:
         ptable = partition_table(n)
     elif len(ptable) <= n:
         raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
 
-    v = saddle_tuple(spec, n)
     p = ptable.coeffs
     total = _fold(n, p, _free_colors(spec, n))
     main_sum = _fold(n, p, [(si, *_box(vi, eta, n // si))

@@ -351,6 +351,13 @@ class TestRegions:
         g200 = cp.g_series_divisor(cp.validate([1], [6]), 200)[200]
         assert int(obj["main_sum"]) + int(obj["tail_sum"]) == g200
 
+    @pytest.mark.parametrize("n", ["-5", "-1000000"])
+    def test_negative_n_exit_2_before_any_estimate(self, capsys, forbid, n):
+        # The fold estimate is positive for a large negative n.
+        forbid("partition_table")
+        assert run(capsys, "regions", "--spec", "s=1;l=2", "--n", n) == (
+            2, "", "error: n must be >= 1\n")
+
     def test_fine_grained_eta_refused_before_the_table(self, capsys, forbid):
         # The box test raises integers to the power 10**8 at this eta.
         forbid("partition_table")
@@ -390,15 +397,21 @@ class TestQuadform:
         assert err.startswith(f"error: {name} must be >= 1")
 
     @pytest.mark.parametrize("argv,estimate", [
-        (["--k", "100000", "--trials", "1"], 10**15 + 1),
-        (["--k", "8", "--trials", "100000000"], 10**8 * (8**3 + 1)),
-    ], ids=["large-k", "many-trials"])
+        (["--k", "100000", "--trials", "1"], 10**15 + cli._TRIAL_WEIGHT),
+        (["--k", "8", "--trials", "100000000"], 10**8 * (8**3 + cli._TRIAL_WEIGHT)),
+        (["--k", "1", "--trials", "10000000"], 10**7 * (1 + cli._TRIAL_WEIGHT)),
+    ], ids=["large-k", "many-trials", "many-k1-trials"])
     def test_over_budget_exits_4_before_any_draw(self, capsys, monkeypatch, argv, estimate):
         def det_trials(*args):
             raise AssertionError("quadform.det_trials called")
         monkeypatch.setattr(quadform, "det_trials", det_trials)
         assert run(capsys, "quadform", *argv) == (
             4, "", f"error: estimated {estimate} determinant steps exceeds budget 1000000000\n")
+
+    def test_every_bench_trial_count_is_admitted(self, capsys, monkeypatch):
+        # The oracles workload runs --k 8 with up to 2000 trials.
+        monkeypatch.setattr(quadform, "det_trials", lambda *args: [])
+        assert run(capsys, "quadform", "--k", "8", "--trials", "2000") == (0, "1..0\n", "")
 
     def test_seeded_reproducibility(self, capsys):
         assert run(capsys, "quadform", "--trials", "5", "--rng-seed", "7") == (

@@ -1,5 +1,5 @@
-"""numpy and scipy load only for the quadform paths, scipy only for its
-quadrature, and the lazy paths work.
+"""numpy loads only for the quadform paths, no path loads scipy, and the
+lazy paths work.
 
 The cold checks run in a fresh interpreter: the suite's conftest has
 already imported ``selftest`` and with it numpy.
@@ -39,14 +39,27 @@ def test_import_loads_no_numpy(module):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\nTrue\n", "")
 
 
-def test_scipy_loads_only_for_quadrature():
-    proc = fresh_python("-c", "import sys; from colorpart import quadform; "
-                              "quadform.det_trials(3, 4, 0); "
-                              "print('scipy.integrate' in sys.modules); "
-                              "q = quadform.QuadFormSpec(1.0, (1.0,)); "
-                              "quadform.gaussian_integral_quadrature(q); "
-                              "print('scipy.integrate' in sys.modules)")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
+NO_SCIPY = """
+import contextlib, io, math, sys
+from colorpart import cli, quadform
+
+quadform.det_trials(3, 4, 0)
+forms = [quadform.QuadFormSpec(1.0, (1.0,) * k) for k in (1, 2, 3)]
+for q in forms[:2]:
+    quadform.gaussian_integral_quadrature(q)
+quadform.gaussian_integral_monte_carlo(forms[2], samples=100)
+quadform.sum_vs_integral(math.exp, 0, 5, 0)
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = cli.main(["selftest"])
+print(code, out.getvalue().count("not ok"), [m for m in sys.modules if m.split(".")[0] == "scipy"])
+"""
+
+
+def test_no_path_loads_scipy():
+    # Every quadform function and the whole acceptance battery: the
+    # quadrature runs quadform's own kernel.
+    proc = fresh_python("-c", NO_SCIPY)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 []\n", "")
 
 
 def test_quadform_command_from_a_cold_interpreter(capsys):

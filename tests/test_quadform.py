@@ -2,6 +2,7 @@ import inspect
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -126,6 +127,77 @@ class TestGaussianIntegral:
             q = random_form(rng, k, 0.1, 10)
             lhs = cp.gaussian_quadform_integral(q) * math.sqrt(cp.det_closed_form(q))
             assert lhs == pytest.approx(math.pi ** (k / 2), rel=1e-12)
+
+
+def counted(f):
+    """f, and a list that grows by one entry per call of it."""
+    calls = []
+
+    def wrapper(x):
+        calls.append(len(x))
+        return f(x)
+    return wrapper, calls
+
+
+class TestGaussKronrod:
+    @pytest.mark.parametrize("a,lo,hi", [(1.0, -8.0, 8.0), (50.0, -1.0, 3.0), (1e-3, 0.0, 40.0),
+                                         (2.0, 0.5, 0.75), (400.0, -2.0, 2.0)])
+    def test_gaussian_against_erf(self, a, lo, hi):
+        want = math.sqrt(math.pi / a) / 2 * (math.erf(math.sqrt(a) * hi) - math.erf(math.sqrt(a) * lo))
+        val, err = quadform._gk15(lambda x: np.exp(-a * x * x), lo, hi)
+        assert abs(val - want) <= 1e-12 * want
+        assert err <= max(1.49e-8, 1.49e-8 * want)
+
+    def test_polynomials_need_one_rule(self):
+        # The 7-point Gauss rule is exact to degree 13, so its difference from
+        # the Kronrod value is rounding and no interval is bisected.
+        rng = np.random.default_rng(4)
+        for degree in range(14):
+            c = rng.uniform(-1, 1, degree + 1)
+            lo, hi = sorted(rng.uniform(-1, 1, 2))
+            anti = np.polynomial.Polynomial(c).integ()
+            f, calls = counted(np.polynomial.Polynomial(c))
+            val, err = quadform._gk15(f, lo, hi)
+            assert calls == [15]
+            assert val == pytest.approx(anti(hi) - anti(lo), rel=1e-13, abs=1e-13)
+            assert err < 1e-12
+
+    def test_vector_integrand_matches_one_call_per_component(self):
+        parts = [lambda x: np.exp(-3 * (x - 1) ** 2), lambda x: np.cos(7 * x) + 1.5,
+                 lambda x: x**2 / (1 + x**2), lambda x: np.sqrt(x + 2.5)]
+        val, err = quadform._gk15(lambda x: np.stack([g(x) for g in parts], axis=1), -2.0, 4.0)
+        assert val.shape == (len(parts),)
+        for got, g in zip(val, parts):
+            want, want_err = quadform._gk15(g, -2.0, 4.0)
+            assert abs(got - want) <= err + want_err
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_k2_forms_against_mpmath(self):
+        # mpmath's tanh-sinh quadrature over the whole plane is independent
+        # of the Gauss-Kronrod kernel, the box and the eigenvalue scaling.
+        rng = np.random.default_rng(8)
+        for _ in range(4):
+            q = random_form(rng, 2, 0.1, 10)
+            a0, (a1, a2) = q.a0, q.a_rest
+            want = mpmath.fp.quad(
+                lambda x, y: math.exp(-(a0 * (x + y) ** 2 + a1 * x * x + a2 * y * y)),
+                [-math.inf, 0, math.inf], [-math.inf, 0, math.inf])
+            assert cp.gaussian_integral_quadrature(q) == pytest.approx(want, rel=1e-12)
+
+    def test_strongly_coupled_form(self):
+        # A ridge of width about 0.02 along y = -x in the scaled box.
+        q = cp.QuadFormSpec(1e3, (1.0, 1.0))
+        assert cp.gaussian_integral_quadrature(q) == pytest.approx(
+            cp.gaussian_quadform_integral(q), rel=1e-9)
+
+    @pytest.mark.parametrize("f", [lambda x: np.cos(300 * x), lambda x: np.full(x.shape, np.nan),
+                                   lambda x: np.abs(x - 1 / 3) ** -0.9],
+                             ids=["oscillating", "nan", "singular"])
+    def test_exhausted_limit_raises(self, f):
+        wrapped, calls = counted(f)
+        with pytest.raises(errors.QuadratureFailure, match="^10 subintervals leave"):
+            quadform._gk15(wrapped, -1.0, 1.0, limit=10)
+        assert len(calls) == 10  # the whole interval, then one bisection per call
 
 
 class TestTruncationBound:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import colorpart as cp
-from colorpart import errors
+from colorpart import errors, regions
 
 
 class TestSaddleTuple:
@@ -185,6 +185,24 @@ class TestRegionSplit:
         for table in (ptable, None):
             with pytest.raises(errors.TooLarge):
                 cp.region_split(spec, 200, Fraction(4, 5), table, budget=100)
+
+    def test_negative_n_refused_before_the_estimate(self, forbid):
+        # The fold estimate at n = -10**6 is far over budget; n is checked first.
+        forbid("partition_table")
+        for n in (-5, -10**6):
+            with pytest.raises(ValueError, match="^n must be >= 1$"):
+                cp.region_split(cp.validate([1], [2]), n, Fraction(4, 5))
+
+    def test_saddle_tuple_once_per_split(self, monkeypatch):
+        calls = []
+
+        def saddle_tuple(spec, n):
+            calls.append(n)
+            return original(spec, n)
+        original = regions.saddle_tuple
+        monkeypatch.setattr(regions, "saddle_tuple", saddle_tuple)
+        cp.region_split(cp.validate([1, 3], [2, 2]), 60, Fraction(4, 5))
+        assert calls == [60]
 
     def test_short_table_and_bad_n(self):
         spec = cp.validate([1], [2])
