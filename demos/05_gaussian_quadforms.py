@@ -3,7 +3,8 @@
 The form a0*(x1+...+xk)^2 + sum a_i*x_i^2 has a determinant that factors
 in closed form, so its full-space Gaussian integral is elementary.  This
 demo cross-checks the closed form against elimination, adaptive
-quadrature (also on a nearly flat form), and Monte Carlo.
+quadrature (also on a nearly flat and a strongly coupled form), and Monte
+Carlo.
 """
 
 import math
@@ -43,11 +44,19 @@ closed, quad = cp.gaussian_quadform_integral(q_flat), cp.gaussian_integral_quadr
 assert abs(quad - closed) <= 1e-9 * closed
 print(f"  k=2, flat: closed {closed:.6f}  quadrature {quad:.6f}")
 
+# A strong coupling a0 makes a ridge along x + y = 0 about 1e-3 wide: the
+# box follows y's conditional centre -a0*x/(a0 + a2) and width.
+q_ridge = cp.QuadFormSpec(1e6, (1.0, 1.0))
+closed, quad = cp.gaussian_quadform_integral(q_ridge), cp.gaussian_integral_quadrature(q_ridge)
+assert abs(quad - closed) <= 1e-12 * closed
+print(f"  k=2, ridge: closed {closed:.10f}  quadrature {quad:.10f}")
+
 q3 = cp.QuadFormSpec(1.5, (0.8, 1.2, 2.0))
 est, se = cp.gaussian_integral_monte_carlo(q3, samples=10**6, seed=0)
 print(f"  k=3: closed {cp.gaussian_quadform_integral(q3):.6f}  "
       f"monte carlo {est:.6f} +/- {se:.6f}")
 
-print("\nquadrature integrates over [-8, 8]^k after scaling x by the square root")
-print("of the smallest eigenvalue, so the scaled form is >= |y|^2 and the mass")
+print("\nquadrature integrates over [-8, 8]^k in coordinates taken from the form's")
+print("conditional factorisation (for k = 2, x scaled by the Schur complement and y")
+print("centred on its conditional mean), in which the form is |t|^2, so the mass")
 print(f"cut off per coordinate is below exp(-64) = {cp.truncation_error_bound(8.0):.3e}")

@@ -11,6 +11,7 @@ integrals of coupled positive-definite quadratic forms.
 """
 
 import importlib
+import types
 
 from .asymptotic import (
     ComparisonRow,
@@ -60,6 +61,10 @@ _QUADFORM_NAMES = frozenset({
     "sum_vs_integral",
     "truncation_error_bound",
 })
+# The public names: everything imported above, and quadform's.
+__all__ = sorted({name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+                 | _QUADFORM_NAMES)
 
 
 def __getattr__(name):
@@ -72,39 +77,3 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *_QUADFORM_NAMES, "quadform"})
-
-__all__ = [
-    "AsymptoticConstants",
-    "ColoredSpec",
-    "ComparisonRow",
-    "EtaWindow",
-    "ExactSeries",
-    "ExponentFit",
-    "Method",
-    "QuadFormSpec",
-    "RegionSplitReport",
-    "comparison_table",
-    "constants",
-    "det_closed_form",
-    "eta_window",
-    "fit_error_exponent",
-    "g_series_convolution",
-    "g_series_divisor",
-    "g_series_euler",
-    "g_via_tuple_convolution",
-    "gaussian_integral_monte_carlo",
-    "gaussian_integral_quadrature",
-    "gaussian_quadform_integral",
-    "geometric_grid",
-    "ln_main_term",
-    "ln_of_bigint",
-    "parse_json",
-    "parse_text",
-    "partition_table",
-    "region_split",
-    "saddle_tuple",
-    "sum_vs_integral",
-    "truncation_error_bound",
-    "validate",
-    "working_precision",
-]

@@ -73,8 +73,8 @@ def comparison_table(
 
     If no precomputed series is supplied the divisor recurrence is run up to
     max(ns), after ``check_series_budget`` has checked its steps against
-    ``budget`` (TooLarge when over).  An empty or non-positive ``ns`` raises
-    ValueError before that check.
+    ``budget`` (TooLarge when over).  ValueError comes first for an empty or
+    non-positive ``ns``, and for a given series of another spec or too short.
     """
     ns = sorted(set(int(n) for n in ns))
     if not ns or ns[0] < 1:
@@ -82,6 +82,8 @@ def comparison_table(
     if series is None:
         check_series_budget("divisor", spec, ns[-1], budget)
         series = g_series_divisor(spec, ns[-1])
+    if series.spec != spec:
+        raise ValueError(f"series is of spec {series.spec}, not {spec}")
     if len(series) <= ns[-1]:
         raise ValueError(f"series covers 0..{len(series) - 1}, need {ns[-1]}")
     consts = constants(spec, prec=prec)
@@ -129,13 +131,13 @@ def fit_error_exponent(rows: list[ComparisonRow]) -> ExponentFit:
                        n_range=(n_min, n_max))
 
 
-def geometric_grid(start: int, stop: int, ratio: int = 2) -> list[int]:
-    """n values start, start*ratio, ... up to and including stop when hit."""
-    if start < 1 or stop < start or ratio < 2:
-        raise ValueError("need 1 <= start <= stop and ratio >= 2")
+def geometric_grid(start: int, stop: int) -> list[int]:
+    """n values start, 2*start, 4*start, ... up to and including stop when hit."""
+    if start < 1 or stop < start:
+        raise ValueError("need 1 <= start <= stop")
     out = []
     n = start
     while n <= stop:
         out.append(n)
-        n *= ratio
+        n *= 2
     return out

@@ -11,7 +11,6 @@ import argparse
 import contextlib
 import dataclasses
 import functools
-import itertools
 import json
 import sys
 from fractions import Fraction
@@ -118,21 +117,25 @@ def _write(args, lines) -> None:
 
 
 def _emit(args, value=None, header=(), rows=()) -> None:
-    """Write one command's result in its --format.
+    """Write one command's result: ``value`` for --format json, else (csv,
+    raw) ``header`` and ``rows`` as comma-joined lines."""
+    _write(args, [value_to_json(value) if args.format == "json" else rows_to_csv(header, rows)])
 
-    ``json`` writes ``value``; ``csv`` and ``raw`` write ``header`` and
-    ``rows`` as comma-joined lines; ``tap`` writes the plan for ``value``
-    tests, then ``rows``, (ok, description) pairs, each as it is produced,
-    so the output is open before the first test runs.
-    """
-    if args.format == "json":
-        _write(args, [value_to_json(value)])
-    elif args.format == "tap":
-        _write(args, itertools.chain([f"1..{value}\n"], (
-            f"{'ok' if ok else 'not ok'} {idx} - {description}\n"
-            for idx, (ok, description) in enumerate(rows, start=1))))
-    else:
-        _write(args, [rows_to_csv(header, rows)])
+
+def _tap(args, plan: int, rows) -> int:
+    """Write the TAP plan, then each (ok, description) row as it is produced, the
+    output open before the first: EXIT_ASSERTION if any row failed, else EXIT_OK."""
+    failed = False
+
+    def lines():
+        nonlocal failed
+        yield f"1..{plan}\n"
+        for idx, (ok, description) in enumerate(rows, start=1):
+            failed |= not ok
+            yield f"{'ok' if ok else 'not ok'} {idx} - {description}\n"
+
+    _write(args, lines())
+    return EXIT_ASSERTION if failed else EXIT_OK
 
 
 def cmd_exact(args) -> int:
@@ -217,31 +220,24 @@ def cmd_quadform(args) -> int:
                            exact.DEFAULT_FOLD_BUDGET)
     from . import quadform  # numpy loads only for this command and selftest
 
-    results = []
-    for k, closed, elim in quadform.det_trials(args.trials, args.k, args.rng_seed):
-        rel = abs(closed - elim) / abs(elim)
-        results.append((rel < 1e-9, f"det k={k} rel_err={rel:.3e}"))
-    _emit(args, len(results), rows=results)
-    return EXIT_OK if all(ok for ok, _ in results) else EXIT_ASSERTION
+    trials = quadform.det_trials(args.trials, args.k, args.rng_seed)  # checks its arguments
+    checked = ((k, *quadform.det_agreement(closed, elim)) for k, closed, elim in trials)
+    return _tap(args, args.trials,
+                ((ok, f"det k={k} rel_err={rel:.3e}") for k, ok, rel in checked))
 
 
 def cmd_selftest(args) -> int:
     from . import selftest
 
-    failed = []
-
-    def results():
+    def rows():
         for check in selftest.ALL_CHECKS:
             try:
                 name, ok, detail = check()
             except Exception as exc:  # a crash is a failure, not an abort
                 name, ok, detail = check.__name__, False, f"raised {exc!r}"
-            if not ok:
-                failed.append(name)
             yield ok, f"{name}: {detail}"
 
-    _emit(args, len(selftest.ALL_CHECKS), rows=results())
-    return EXIT_ASSERTION if failed else EXIT_OK
+    return _tap(args, len(selftest.ALL_CHECKS), rows())
 
 
 @functools.cache

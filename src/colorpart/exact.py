@@ -91,9 +91,20 @@ def _divide(moduli, n_max: int) -> list[int]:
     return c
 
 
+_PLAIN = validate([1], [1])  # the spec of plain partition counts p(n)
+
+
 def partition_table(n_max: int) -> ExactSeries:
     """p(0..n_max), the s=1;l=1 series, by pentagonal division."""
-    return ExactSeries(validate([1], [1]), tuple(_divide((1,), n_max)), Method.EULER_PRODUCT)
+    return ExactSeries(_PLAIN, tuple(_divide((1,), n_max)), Method.EULER_PRODUCT)
+
+
+def check_partition_table(ptable: ExactSeries, n: int) -> None:
+    """Raise ValueError unless ``ptable`` is p(0..m), spec s=1;l=1, for some m >= n."""
+    if ptable.spec != _PLAIN:
+        raise ValueError(f"partition table must be of spec {_PLAIN}, got {ptable.spec}")
+    if len(ptable) <= n:
+        raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
 
 
 # Blocks of the divisor recurrence at most this long sum their terms directly.
@@ -276,11 +287,11 @@ def g_via_tuple_convolution(spec: ColoredSpec, n: int, ptable: ExactSeries,
     ``_product`` over ``_free_colors(spec, m)``, at any m >= n; given it,
     only the dot product runs.  Otherwise the whole fold (``_fold``) runs at
     n, unless its estimated step count exceeds ``budget``: then TooLarge.
+    ``ptable`` must pass ``check_partition_table`` (ValueError).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if len(ptable) <= n:
-        raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
+    check_partition_table(ptable, n)
     p = ptable.coeffs
     if free is None:
         check_fold_budget(spec.moduli, n, budget)

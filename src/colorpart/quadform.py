@@ -4,11 +4,11 @@ The quadratic form of interest is  a0*(x_1 + ... + x_k)**2 + sum a_i*x_i**2
 with all coefficients positive.  Its matrix has diagonal a0 + a_i and
 constant off-diagonal a0, and the determinant factors in closed form, which
 makes the full-space Gaussian integral elementary.  The quadrature oracle
-checks it for k <= 2 over a box scaled by the form's smallest eigenvalue,
-so the truncated mass stays below exp(-64) per coordinate however flat the
-form; Monte Carlo checks it for larger k.  Both the quadrature oracle and
-``sum_vs_integral`` run one numpy Gauss-Kronrod kernel (``_gk15``), so the
-module needs numpy only.
+checks it for k <= 2 over a box taken from the form's conditional
+factorisation, so the truncated mass stays below exp(-64) per coordinate
+however flat or strongly coupled the form; Monte Carlo checks it for larger
+k.  Both the quadrature oracle and ``sum_vs_integral`` run one numpy
+Gauss-Kronrod kernel (``_gk15``), so the module needs numpy only.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .errors import QuadratureFailure, RadiusTooSmall, SumIntegralBoundError
 
 # Rows per Monte Carlo block: 4096 x 8 doubles (256 KiB) stay in L2.
 _MC_BLOCK = 4096
-# Half-width of the quadrature box, in the eigenvalue-scaled coordinates.
+# Trials per det_trials block: about 0.4 KiB of forms and rows each, 1.6 MiB in all.
+_DET_BLOCK = 4096
+# Half-width of the quadrature box, in coordinates where the form is |t|^2.
 _BOX = 8.0
 # Uniform grid points on which sum_vs_integral estimates max|f|.
 _GRID_POINTS = 10**4
@@ -57,8 +59,9 @@ class QuadFormSpec:
     a_rest: tuple[float, ...]
 
     def __post_init__(self):
-        if self.a0 <= 0 or any(a <= 0 for a in self.a_rest):
-            raise ValueError("all quadratic-form coefficients must be positive")
+        # NaN fails both comparisons, so it is refused with the infinities.
+        if not all(0 < a < math.inf for a in (self.a0, *self.a_rest)):
+            raise ValueError("all quadratic-form coefficients must be positive and finite")
         if not self.a_rest:
             raise ValueError("need at least one diagonal coefficient")
 
@@ -148,28 +151,40 @@ def random_form(rng: np.random.Generator, k: int, low: float, high: float) -> Qu
     )
 
 
-def det_trials(trials: int, k_max: int, seed: int) -> list[tuple[int, float, float]]:
+def det_agreement(closed: float, elim: float) -> tuple[bool, float]:
+    """(rel < 1e-9, rel), rel the closed-form determinant's relative error to elimination."""
+    rel = abs(closed - elim) / abs(elim)
+    return rel < 1e-9, rel
+
+
+def det_trials(trials: int, k_max: int, seed: int) -> Iterator[tuple[int, float, float]]:
     """(k, closed form, elimination) determinants of seeded random forms.
 
     Each trial draws k uniformly from 1..k_max, then coefficients from
     [0.1, 10); the ``quadform`` command and the acceptance battery share it.
-    Raises ValueError when ``trials`` or ``k_max`` is below 1.
+    Raises ValueError when ``trials`` or ``k_max`` is below 1, at the call;
+    the trials are then drawn and eliminated ``_DET_BLOCK`` at a time.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if k_max < 1:
         raise ValueError(f"k must be >= 1, got {k_max}")
-    rng = np.random.default_rng(seed)
-    forms = [random_form(rng, int(rng.integers(1, k_max + 1)), 0.1, 10) for _ in range(trials)]
-    by_k: dict[int, list[int]] = {}
-    for i, q in enumerate(forms):
-        by_k.setdefault(q.k, []).append(i)
-    elim = np.empty(trials)
-    for k, idx in by_k.items():  # one stacked elimination per dimension
-        mats = np.repeat([forms[i].a0 for i in idx], k * k).reshape(len(idx), k, k)
-        mats[:, range(k), range(k)] += [forms[i].a_rest for i in idx]
-        elim[idx] = np.linalg.det(mats)
-    return [(q.k, det_closed_form(q), float(e)) for q, e in zip(forms, elim)]
+    return _det_blocks(trials, k_max, np.random.default_rng(seed))
+
+
+def _det_blocks(trials: int, k_max: int, rng: np.random.Generator):
+    for start in range(0, trials, _DET_BLOCK):
+        forms = [random_form(rng, int(rng.integers(1, k_max + 1)), 0.1, 10)
+                 for _ in range(min(_DET_BLOCK, trials - start))]
+        by_k: dict[int, list[int]] = {}
+        for i, q in enumerate(forms):
+            by_k.setdefault(q.k, []).append(i)
+        elim = np.empty(len(forms))
+        for k, idx in by_k.items():  # one stacked elimination per dimension
+            mats = np.repeat([forms[i].a0 for i in idx], k * k).reshape(len(idx), k, k)
+            mats[:, range(k), range(k)] += [forms[i].a_rest for i in idx]
+            elim[idx] = np.linalg.det(mats)
+        yield from [(q.k, det_closed_form(q), float(e)) for q, e in zip(forms, elim)]
 
 
 def gaussian_quadform_integral(q: QuadFormSpec) -> float:
@@ -190,32 +205,39 @@ def truncation_error_bound(radius: float) -> float:
 def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
     """Adaptive-quadrature oracle for the Gaussian integral, k in {1, 2}.
 
-    With lam the form's smallest eigenvalue, substitutes y = sqrt(lam)*x:
-    the scaled form, coefficients a_i/lam, is >= |y|^2, so the mass outside
-    the box [-8, 8]^k is at most sqrt(pi)*erfc(8) per coordinate, below
-    ``truncation_error_bound(8)``, for every form.  Returns the scaled
-    integral times lam**(-k/2).  For k = 2 the kernel nests: one inner call
-    integrates over y at every outer node of a step at once, and the error
-    adds 16 times the largest inner error to the outer one.  Raises
-    QuadratureFailure when the error estimate exceeds 1e-6.
+    The box comes from the form's conditional factorisation: x = t/sqrt(a0 + a1)
+    for k = 1; for k = 2, Q = S*x**2 + b*(y + a0*x/b)**2 with b = a0 + a2 and
+    S = a1 + a0*a2/b (the Schur complement), so x = t/sqrt(S) and
+    y = -a0*x/b + u/sqrt(b).  Q is |(t, u)|^2, so the mass outside the box
+    [-8, 8]^k is at most sqrt(pi)*erfc(8) per coordinate, below
+    ``truncation_error_bound(8)``, for every form.  The integrand is still
+    exp(-Q(x, y)), times the Jacobian.  For k = 2 the kernel nests: one
+    inner call integrates over u at every outer node of a step at once, and
+    the error adds 16 times the largest inner error to the outer one.
+    Raises QuadratureFailure when the error estimate exceeds 1e-6.
     """
-    lam = float(np.linalg.eigvalsh(q.matrix())[0])
-    a0 = q.a0 / lam
     if q.k == 1:
-        a = a0 + q.a_rest[0] / lam
-        val, err = _gk15(lambda x: np.exp(-a * x * x), -_BOX, _BOX, epsabs=1e-9)
+        a = q.a0 + q.a_rest[0]
+        jac = 1 / math.sqrt(a)
+        val, err = _gk15(lambda t: np.exp(-a * (jac * t) ** 2), -_BOX, _BOX, epsabs=1e-9)
     elif q.k == 2:
-        a1, a2 = (a / lam for a in q.a_rest)
-        inner_err = 0.0
+        a0, (a1, a2) = q.a0, q.a_rest
+        b = a0 + a2
+        hx, hy = 1 / math.sqrt(a1 + a0 * (a2 / b)), 1 / math.sqrt(b)
+        jac, inner_err = hx * hy, 0.0
 
-        def outer(x):
+        def outer(t):
             nonlocal inner_err
-            ax = a1 * x * x
-            # One shared partition of y for all len(x) integrals, so the limit
+            x = hx * t
+            ax, cx = a1 * x * x, -a0 * x / b  # cx: the centre of y given x
+
+            def inner(u):  # one row of y per node u, one column per outer node
+                y = cx + hy * u[:, None]
+                return np.exp(-(a0 * (x + y) ** 2 + ax + a2 * y * y))
+
+            # One shared partition of u for all len(t) integrals, so the limit
             # is the 50 subintervals each had when integrated on its own.
-            vals, err = _gk15(lambda y: np.exp(-(a0 * (x + y[:, None]) ** 2 + ax
-                                                 + a2 * y[:, None] ** 2)),
-                              -_BOX, _BOX, epsabs=1e-9, limit=50 * len(x))
+            vals, err = _gk15(inner, -_BOX, _BOX, epsabs=1e-9, limit=50 * len(t))
             inner_err = max(inner_err, err)
             return vals
 
@@ -225,7 +247,7 @@ def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
         raise ValueError("quadrature oracle supports k <= 2; use Monte Carlo above")
     if err > 1e-6:
         raise QuadratureFailure(f"quadrature error estimate {err} too large")
-    return val * lam ** (-q.k / 2)
+    return val * jac
 
 
 def gaussian_integral_monte_carlo(

@@ -17,7 +17,7 @@ from fractions import Fraction
 import mpmath
 
 from .exact import (DEFAULT_FOLD_BUDGET, ExactSeries, _fold, _free_colors, check_budget,
-                    check_fold_budget, partition_table)
+                    check_fold_budget, check_partition_table, partition_table)
 from .precision import DEFAULT_BITS, working_precision
 from .specs import ColoredSpec, require_eta
 
@@ -110,14 +110,13 @@ def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries | None = No
     ValueError for n < 1 (from ``saddle_tuple``, before any estimate), then
     TooLarge when ``check_split_budget``'s estimate exceeds ``budget``.
     ``ptable``, p(0..n) or longer, is built by ``partition_table`` when not
-    given.
+    given; a given one is checked by ``check_partition_table``.
     """
     eta = require_eta(spec, eta)
     v = check_split_budget(spec, n, eta, budget)
     if ptable is None:
         ptable = partition_table(n)
-    elif len(ptable) <= n:
-        raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
+    check_partition_table(ptable, n)
 
     p = ptable.coeffs
     total = _fold(n, p, _free_colors(spec, n))

@@ -109,10 +109,9 @@ def check_error_decay() -> tuple[str, bool, str]:
 
 
 def check_determinant(trials: int = 1000, k_max: int = 8, seed: int = 0) -> tuple[str, bool, str]:
-    rows = quadform.det_trials(trials, k_max, seed)
-    ok = all(abs(closed - elim) <= 1e-9 * abs(elim) for _, closed, elim in rows)
-    worst = max(abs(closed - elim) / abs(elim) for _, closed, elim in rows)
-    return ("determinant identity", ok, f"{trials} trials, worst rel err {worst:.2e}")
+    oks, rels = zip(*(quadform.det_agreement(closed, elim)
+                      for _, closed, elim in quadform.det_trials(trials, k_max, seed)))
+    return ("determinant identity", all(oks), f"{trials} trials, worst rel err {max(rels):.2e}")
 
 
 def check_gaussian_integrals() -> tuple[str, bool, str]:

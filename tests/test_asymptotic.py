@@ -116,6 +116,13 @@ class TestComparisonTable:
                                      budget=0)
         assert row.n == 100 and -0.1 < row.rel_err < 0
 
+    def test_series_of_another_spec_refused(self, classical_spec, remark_spec):
+        # (1;1) against the (1,3;2,2) series would read rel_err 50.7 at n = 16.
+        series = cp.g_series_euler(remark_spec, 16)
+        with pytest.raises(ValueError, match=r"^series is of spec s=1,3;l=2,2, not s=1;l=1$"):
+            cp.comparison_table(classical_spec, [16], series=series)
+        assert cp.comparison_table(remark_spec, [16], series=series)[0].n == 16
+
     def test_strict_decrease_beyond_512(self, classical_spec, classical_series_deep):
         ns = cp.geometric_grid(512, 8192)
         rows = cp.comparison_table(classical_spec, ns, series=classical_series_deep)

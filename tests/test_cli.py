@@ -1,9 +1,19 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from colorpart import cli, exact, quadform, selftest
+
+ROOT = Path(__file__).resolve().parent.parent
+# Runs the CLI on its arguments, then writes the process's max RSS to stderr.
+RSS_AFTER_CLI = ("import resource, sys; from colorpart import cli; code = cli.main(sys.argv[1:]); "
+                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr); "
+                 "sys.exit(code)")
 
 GOLDEN_EXACT_CSV = "n,g\n0,1\n1,1\n2,2\n3,3\n4,5\n5,7\n"
 GOLDEN_QUADFORM_SEED_7 = """1..5
@@ -411,13 +421,40 @@ class TestQuadform:
     def test_every_bench_trial_count_is_admitted(self, capsys, monkeypatch):
         # The oracles workload runs --k 8 with up to 2000 trials.
         monkeypatch.setattr(quadform, "det_trials", lambda *args: [])
-        assert run(capsys, "quadform", "--k", "8", "--trials", "2000") == (0, "1..0\n", "")
+        assert run(capsys, "quadform", "--k", "8", "--trials", "2000") == (0, "1..2000\n", "")
 
     def test_seeded_reproducibility(self, capsys):
         assert run(capsys, "quadform", "--trials", "5", "--rng-seed", "7") == (
             0, GOLDEN_QUADFORM_SEED_7, "")
         assert run(capsys, "quadform", "--k", "3", "--trials", "5", "--rng-seed", "0") == (
             0, GOLDEN_QUADFORM_K3, "")
+
+    def test_each_line_goes_out_as_its_trial_is_drawn(self, capsys, monkeypatch):
+        before = []
+
+        def det_trials(trials, k_max, seed):
+            yield 1, 2.0, 2.0
+            before.append(capsys.readouterr().out)
+            yield 2, 3.0, 1.0
+
+        monkeypatch.setattr(quadform, "det_trials", det_trials)
+        assert run(capsys, "quadform", "--trials", "2") == (
+            1, "not ok 2 - det k=2 rel_err=2.000e+00\n", "")
+        assert before == ["1..2\nok 1 - det k=1 rel_err=0.000e+00\n"]
+
+    def test_memory_does_not_grow_with_trials(self):
+        # Trials stream in fixed blocks: ten times the trials, the same peak.
+        def max_rss_kib(trials):
+            path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", RSS_AFTER_CLI, "quadform", "--k", "1",
+                                   "--trials", str(trials)],
+                                  env={**os.environ, "PYTHONPATH": path},
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stderr)  # KiB on Linux
+
+        assert max_rss_kib(200000) <= max_rss_kib(20000) + 5 * 1024
 
 
 class TestSelftest:

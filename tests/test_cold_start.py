@@ -43,7 +43,7 @@ NO_SCIPY = """
 import contextlib, io, math, sys
 from colorpart import cli, quadform
 
-quadform.det_trials(3, 4, 0)
+list(quadform.det_trials(3, 4, 0))
 forms = [quadform.QuadFormSpec(1.0, (1.0,) * k) for k in (1, 2, 3)]
 for q in forms[:2]:
     quadform.gaussian_integral_quadrature(q)

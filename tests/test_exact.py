@@ -189,6 +189,15 @@ class TestTupleConvolution:
         with pytest.raises(ValueError):
             cp.g_via_tuple_convolution(cp.validate([1], [1]), 10, cp.partition_table(5))
 
+    def test_table_must_be_p(self, remark_spec):
+        # The (1,3;2,2) series as p would give 1155274032 for g(30) = 589128.
+        spec = cp.validate([1], [2])
+        with pytest.raises(ValueError, match="^partition table must be of spec s=1;l=1, "
+                                             "got s=1,3;l=2,2$"):
+            cp.g_via_tuple_convolution(spec, 30, cp.g_series_euler(remark_spec, 30))
+        p_by_divisor = cp.g_series_divisor(cp.validate([1], [1]), 30)
+        assert cp.g_via_tuple_convolution(spec, 30, p_by_divisor) == 589128
+
     def test_series_engine(self, remark_spec):
         series = cp.g_series_convolution(remark_spec, 40)
         assert (series.spec, series.method) == (remark_spec, cp.Method.TUPLE_CONVOLUTION)

@@ -37,13 +37,35 @@ class TestDetClosedForm:
         for _ in range(300):
             q = random_form(rng, int(rng.integers(1, 9)), 0.1, 10)
             want.append((q.k, cp.det_closed_form(q), float(np.linalg.det(q.matrix()))))
-        assert quadform.det_trials(300, 8, 3) == want
+        assert list(quadform.det_trials(300, 8, 3)) == want
+
+    def test_det_trials_stream_in_blocks_in_one_draw_order(self):
+        many = list(quadform.det_trials(quadform._DET_BLOCK + 300, 8, 3))
+        assert len(many) == quadform._DET_BLOCK + 300
+        assert many[:300] == list(quadform.det_trials(300, 8, 3))
+
+    @pytest.mark.parametrize("trials,k_max", [(0, 8), (5, 0)])
+    def test_det_trials_check_arguments_at_the_call(self, trials, k_max):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            quadform.det_trials(trials, k_max, 0)  # not iterated
+
+    def test_det_agreement_is_strictly_below_1e_9(self):
+        assert quadform.det_agreement(3.0, 3.0) == (True, 0.0)
+        assert quadform.det_agreement(1e9 + 1, 1e9) == (False, 1e-9)
+        assert quadform.det_agreement(1e9 - 0.5, -1e9)[0] is False
 
     def test_positivity_required(self):
         with pytest.raises(ValueError):
             cp.QuadFormSpec(1.0, (1.0, -2.0))
         with pytest.raises(ValueError):
             cp.QuadFormSpec(0.0, (1.0,))
+
+    @pytest.mark.parametrize("a0,a_rest", [(math.nan, (1.0,)), (math.inf, (1.0,)),
+                                           (1.0, (1.0, math.nan)), (1.0, (math.inf, 1.0)),
+                                           (1.0, (-math.inf,))])
+    def test_non_finite_coefficients_refused(self, a0, a_rest):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cp.QuadFormSpec(a0, a_rest)
 
 
 class TestGaussianIntegral:
@@ -174,7 +196,7 @@ class TestGaussKronrod:
 
     def test_k2_forms_against_mpmath(self):
         # mpmath's tanh-sinh quadrature over the whole plane is independent
-        # of the Gauss-Kronrod kernel, the box and the eigenvalue scaling.
+        # of the Gauss-Kronrod kernel, the box and its scaling.
         rng = np.random.default_rng(8)
         for _ in range(4):
             q = random_form(rng, 2, 0.1, 10)
@@ -189,6 +211,15 @@ class TestGaussKronrod:
         q = cp.QuadFormSpec(1e3, (1.0, 1.0))
         assert cp.gaussian_integral_quadrature(q) == pytest.approx(
             cp.gaussian_quadform_integral(q), rel=1e-9)
+
+    @pytest.mark.parametrize("a0,a_rest", [(1e6, (1.0, 1.0)), (1.0, (1e6, 1.0)),
+                                           (1e9, (1e-3, 2.0)), (1e-4, (1e-4, 3e-4))])
+    def test_ridge_forms(self, a0, a_rest):
+        # Ridges far narrower than the box: centring y on its conditional mean
+        # given x, with the conditional widths, puts the nodes on the mass.
+        q = cp.QuadFormSpec(a0, a_rest)
+        assert cp.gaussian_integral_quadrature(q) == pytest.approx(
+            cp.gaussian_quadform_integral(q), rel=1e-12)
 
     @pytest.mark.parametrize("f", [lambda x: np.cos(300 * x), lambda x: np.full(x.shape, np.nan),
                                    lambda x: np.abs(x - 1 / 3) ** -0.9],

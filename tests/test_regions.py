@@ -204,6 +204,13 @@ class TestRegionSplit:
         cp.region_split(cp.validate([1, 3], [2, 2]), 60, Fraction(4, 5))
         assert calls == [60]
 
+    def test_table_must_be_p(self, remark_spec):
+        # The (1,3;2,2) series as p would give main + tail = 16041387552813.
+        spec = cp.validate([1], [3])
+        with pytest.raises(ValueError, match="^partition table must be of spec s=1;l=1"):
+            cp.region_split(spec, 40, Fraction(4, 5), cp.g_series_euler(remark_spec, 40))
+        assert cp.region_split(spec, 40, Fraction(4, 5)).total == 481225800
+
     def test_short_table_and_bad_n(self):
         spec = cp.validate([1], [2])
         with pytest.raises(ValueError, match="^partition table covers 0..49, need 50$"):
