@@ -41,5 +41,9 @@ class SumIntegralBoundError(ColorpartError):
     """|lattice sum - integral| exceeded the 2*(m+1)*max|f| bound."""
 
 
+class NonFiniteValue(ColorpartError, ValueError):
+    """A function under check returned NaN or an infinity; the message gives x."""
+
+
 class OracleMismatch(ColorpartError):
     """Two exact methods disagreed on a coefficient."""

@@ -8,7 +8,12 @@ checks it for k <= 2 over a box taken from the form's conditional
 factorisation, so the truncated mass stays below exp(-64) per coordinate
 however flat or strongly coupled the form; Monte Carlo checks it for larger
 k.  Both the quadrature oracle and ``sum_vs_integral`` run one numpy
-Gauss-Kronrod kernel (``_gk15``), so the module needs numpy only.
+Gauss-Kronrod kernel (``_gk15``), so the module needs numpy only;
+``sum_vs_integral`` takes max|f| from the points it already evaluated,
+refined about each local maximum, not from a grid.  One column kernel
+(``_closed_dets``) gives the closed-form determinant, for one form in
+``det_closed_form`` and for each block of ``det_trials`` at once; past the
+float range it goes through ln det.
 """
 
 from __future__ import annotations
@@ -20,16 +25,19 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import QuadratureFailure, RadiusTooSmall, SumIntegralBoundError
+from .errors import NonFiniteValue, QuadratureFailure, RadiusTooSmall, SumIntegralBoundError
 
 # Rows per Monte Carlo block: 4096 x 8 doubles (256 KiB) stay in L2.
 _MC_BLOCK = 4096
-# Trials per det_trials block: about 0.4 KiB of forms and rows each, 1.6 MiB in all.
+# Trials per det_trials block: about 0.5 KiB of draws and rows each, 2 MiB in all.
 _DET_BLOCK = 4096
 # Half-width of the quadrature box, in coordinates where the form is |t|^2.
 _BOX = 8.0
-# Uniform grid points on which sum_vs_integral estimates max|f|.
-_GRID_POINTS = 10**4
+# Golden-section steps sum_vs_integral takes about each local maximum of |f|.
+# They shrink the bracket by 0.618**40 = 4e-9; at a smooth maximum f then
+# differs from its peak by about that squared, below rounding.
+_REFINE_STEPS = 40
+_GOLDEN = (math.sqrt(5) - 1) / 2
 
 # QUADPACK's qk15 rule on [-1, 1], from the node nearest 1 down to the
 # centre: the 15 Kronrod nodes (mirrored), their weights, and the weights of
@@ -49,6 +57,7 @@ _KRONROD = np.array(_WK + _WK[-2::-1])
 _GAUSS = np.array(_WG + _WG[-2::-1])
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
+_LN_MAX = math.log(float(np.finfo(float).max))
 
 
 @dataclass(frozen=True)
@@ -136,11 +145,43 @@ def _gk15(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-
     return (float(value) if value.ndim == 0 else value), errsum
 
 
+def _closed_dets(cols: np.ndarray) -> np.ndarray:
+    """det = a0 * a1 * ... * ak * sum(1/a_i) for each column (a0, a1, ..., ak) of cols.
+
+    The product and the sum run down the rows in that order, so each value
+    has the bits of math.prod and Python's sum over the coefficients.
+    Where a partial product or the det is not a positive finite normal
+    number, the det is exp(_ln_det) instead.
+    """
+    with np.errstate(all="ignore"):  # out-of-range values are caught below, not warned of
+        prod, inv = cols[0], 1.0 / cols[0]
+        normal = prod >= _TINY
+        for c in cols[1:]:
+            prod = prod * c
+            normal &= prod >= _TINY  # an overflow stays inf and fails the test on det
+            inv = inv + 1.0 / c
+        det = prod * inv
+    normal &= (det >= _TINY) & (det < math.inf)
+    for j in np.flatnonzero(~normal):
+        det[j] = _exp(_ln_det(cols[:, j].tolist()))
+    return det
+
+
+def _ln_det(coeffs: list[float]) -> float:
+    """ln det = sum(ln a_i) + ln sum(1/a_i), the sum taken about the smallest a_i."""
+    low = min(coeffs)
+    return (math.fsum(map(math.log, coeffs)) - math.log(low)
+            + math.log(math.fsum(low / a for a in coeffs)))
+
+
+def _exp(x: float) -> float:
+    """math.exp, but inf past the float range rather than OverflowError."""
+    return math.exp(x) if x <= _LN_MAX else math.inf
+
+
 def det_closed_form(q: QuadFormSpec) -> float:
-    """det = a0 * a1 * ... * ak * sum(1/a_i over i = 0..k)."""
-    coeffs = (q.a0,) + q.a_rest
-    prod = math.prod(coeffs)
-    return prod * sum(1.0 / a for a in coeffs)
+    """det = a0 * a1 * ... * ak * sum(1/a_i over i = 0..k); inf past the float range."""
+    return float(_closed_dets(np.array([q.a0, *q.a_rest], dtype=float)[:, None])[0])
 
 
 def random_form(rng: np.random.Generator, k: int, low: float, high: float) -> QuadFormSpec:
@@ -162,8 +203,10 @@ def det_trials(trials: int, k_max: int, seed: int) -> Iterator[tuple[int, float,
 
     Each trial draws k uniformly from 1..k_max, then coefficients from
     [0.1, 10); the ``quadform`` command and the acceptance battery share it.
-    Raises ValueError when ``trials`` or ``k_max`` is below 1, at the call;
-    the trials are then drawn and eliminated ``_DET_BLOCK`` at a time.
+    Raises ValueError when ``trials`` or ``k_max`` is below 1, at the call.
+    The trials are then drawn one by one, ``_DET_BLOCK`` at a time, and
+    each block's trials of one k get one closed-form column kernel and one
+    stacked elimination.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -174,22 +217,36 @@ def det_trials(trials: int, k_max: int, seed: int) -> Iterator[tuple[int, float,
 
 def _det_blocks(trials: int, k_max: int, rng: np.random.Generator):
     for start in range(0, trials, _DET_BLOCK):
-        forms = [random_form(rng, int(rng.integers(1, k_max + 1)), 0.1, 10)
-                 for _ in range(min(_DET_BLOCK, trials - start))]
+        # One draw of a0..ak per trial gives random_form's numbers: the same
+        # stream as its scalar a0 followed by its size-k draw.
+        ks: list[int] = []
         by_k: dict[int, list[int]] = {}
-        for i, q in enumerate(forms):
-            by_k.setdefault(q.k, []).append(i)
-        elim = np.empty(len(forms))
-        for k, idx in by_k.items():  # one stacked elimination per dimension
-            mats = np.repeat([forms[i].a0 for i in idx], k * k).reshape(len(idx), k, k)
-            mats[:, range(k), range(k)] += [forms[i].a_rest for i in idx]
-            elim[idx] = np.linalg.det(mats)
-        yield from [(q.k, det_closed_form(q), float(e)) for q, e in zip(forms, elim)]
+        coeffs = []
+        for i in range(min(_DET_BLOCK, trials - start)):
+            k = int(rng.integers(1, k_max + 1))
+            ks.append(k)
+            by_k.setdefault(k, []).append(i)
+            coeffs.append(rng.uniform(0.1, 10, size=k + 1))
+        closed, elim = np.empty(len(ks)), np.empty(len(ks))
+        for k, idx in by_k.items():  # one closed form and one stacked elimination per k
+            rows = np.array([coeffs[i] for i in idx])
+            mats = np.repeat(rows[:, 0], k * k).reshape(len(idx), k, k)
+            mats[:, range(k), range(k)] += rows[:, 1:]
+            closed[idx], elim[idx] = _closed_dets(rows.T), np.linalg.det(mats)
+        yield from zip(ks, closed.tolist(), elim.tolist())
 
 
 def gaussian_quadform_integral(q: QuadFormSpec) -> float:
-    """Full-space integral of exp(-quadform): pi**(k/2) / sqrt(det)."""
-    return math.pi ** (q.k / 2) / math.sqrt(det_closed_form(q))
+    """Full-space integral of exp(-quadform): pi**(k/2) / sqrt(det).
+
+    Taken through ln det when det is not a positive finite normal number,
+    so coefficients near either end of the float range still give the
+    integral whenever it is representable.
+    """
+    det = det_closed_form(q)
+    if _TINY <= det < math.inf:
+        return math.pi ** (q.k / 2) / math.sqrt(det)
+    return _exp(q.k / 2 * math.log(math.pi) - _ln_det([q.a0, *q.a_rest]) / 2)
 
 
 def truncation_error_bound(radius: float) -> float:
@@ -309,25 +366,70 @@ def sum_vs_integral(
     """Compare the lattice sum of f over [a, b] with its integral.
 
     ``m`` is the caller-asserted number of interior critical points of f.
-    Returns (sum, integral, bound) with bound = 2 * (m + 1) * max|f|, the
-    max estimated on a uniform grid plus endpoints.  The integral is
-    ``_gk15``'s at relative tolerance 1e-10 with at most 500 subintervals.
-    Raises SumIntegralBoundError if |sum - integral| exceeds the bound and
-    QuadratureFailure if the integral cannot be trusted.
+    Returns (sum, integral, bound) with bound = 2 * (m + 1) * max|f|.  The
+    integral is ``_gk15``'s at relative tolerance 1e-10 with at most 500
+    subintervals.  max|f| is the largest |f| evaluated, so it never
+    exceeds the true max: f is taken at the lattice points, at a and b, at
+    the kernel's nodes, and at ``_REFINE_STEPS`` golden-section steps about
+    each local maximum of |f| over those points, inside the bracket of its
+    two neighbours.  Raises NonFiniteValue, naming x, at the first NaN or
+    infinity f returns; SumIntegralBoundError if |sum - integral| exceeds
+    the bound; QuadratureFailure if the integral cannot be trusted.
     """
     if b - a < 1:
         raise ValueError("interval must have length >= 1")
     if m < 0:
         raise ValueError("critical-point count must be >= 0")
-    lattice = sum(f(n) for n in range(math.ceil(a), math.floor(b) + 1))
-    val, err = _gk15(lambda xs: [f(x) for x in xs.tolist()], a, b, epsrel=1e-10, limit=500)
+    seen_x: list[float] = []  # every x where f was taken, and f(x)
+    seen_f: list[float] = []
+
+    def at(xs):
+        fx = [_finite(x, f(x)) for x in xs]
+        seen_x.extend(xs)
+        seen_f.extend(fx)
+        return fx
+
+    lattice = sum(at(range(math.ceil(a), math.floor(b) + 1)))
+    at([a, b])
+    val, err = _gk15(lambda xs: at(xs.tolist()), a, b, epsrel=1e-10, limit=500)
     if not math.isfinite(val) or err > 1e-6 * max(abs(val), 1.0):
         raise QuadratureFailure(f"integral {val} with error estimate {err}")
-    xs = np.linspace(a, b, _GRID_POINTS)
-    fmax = max(float(np.max(np.abs([f(x) for x in xs]))), abs(f(a)), abs(f(b)))
+    xs, first = np.unique(np.array(seen_x, dtype=float), return_index=True)
+    fs = np.abs(np.array(seen_f, dtype=float))[first]
+    fmax = float(fs.max())
+    left, right = np.append(-1.0, fs[:-1]), np.append(fs[1:], -1.0)
+    for i in np.flatnonzero((fs > left) & (fs >= right)).tolist():
+        lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
+        fmax = max(fmax, _golden_max(lambda x: abs(_finite(x, f(x))), lo, hi))
     bound = 2.0 * (m + 1) * fmax
     if abs(lattice - val) > bound:
         raise SumIntegralBoundError(
             f"|sum - integral| = {abs(lattice - val)} exceeds bound {bound}"
         )
     return lattice, val, bound
+
+
+def _finite(x: float, v: float) -> float:
+    """v = f(x), or NonFiniteValue naming x when v is NaN or infinite."""
+    if not math.isfinite(v):
+        raise NonFiniteValue(f"f({x}) = {v} is not finite")
+    return v
+
+
+def _golden_max(g: Callable[[float], float], lo: float, hi: float) -> float:
+    """Largest g over ``_REFINE_STEPS`` golden-section steps towards a maximum on [lo, hi]."""
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    gc, gd = g(c), g(d)
+    best = max(gc, gd)
+    for _ in range(_REFINE_STEPS):
+        if gc >= gd:  # a maximum lies in [lo, d]
+            hi, d, gd = d, c, gc
+            c = hi - _GOLDEN * (hi - lo)
+            gc = g(c)
+            best = max(best, gc)
+        else:  # in [c, hi]
+            lo, c, gc = c, d, gd
+            d = lo + _GOLDEN * (hi - lo)
+            gd = g(d)
+            best = max(best, gd)
+    return best

@@ -146,7 +146,8 @@ def check_region_decomposition() -> tuple[str, bool, str]:
             "tail fractions " + ", ".join(mpmath.nstr(f, 6) for f in fracs))
 
 
-def check_sum_vs_integral() -> tuple[str, bool, str]:
+def sum_vs_integral_cases() -> list[tuple]:
+    """The battery's 101 (f, lo, hi, m) cases: three fixed, 98 drawn with seed 9."""
     c1 = math.pi * math.sqrt(2 / 3)
     cases = [
         (lambda x: 1.0, 0.0, 10.0, 0),
@@ -164,6 +165,11 @@ def check_sum_vs_integral() -> tuple[str, bool, str]:
             cases.append((lambda x, a=a, b=b: math.exp(-a * (x - b / 2) ** 2), 0.0, b, 1))
         else:
             cases.append((lambda x, a=a: a * x + 1.0, 0.0, b, 0))
+    return cases
+
+
+def check_sum_vs_integral() -> tuple[str, bool, str]:
+    cases = sum_vs_integral_cases()
     for f, lo, hi, m in cases:
         total, integral, bound = quadform.sum_vs_integral(f, lo, hi, m)
         if not abs(total - integral) <= bound:

@@ -1,5 +1,6 @@
 import inspect
 import math
+import random
 import tracemalloc
 
 import mpmath
@@ -7,10 +8,23 @@ import numpy as np
 import pytest
 
 import colorpart as cp
-from colorpart import errors, quadform
+from colorpart import errors, quadform, selftest
 from colorpart.quadform import random_form
 
 C1 = math.pi * math.sqrt(2 / 3)
+
+
+def one_trial_at_a_time(trials, k_max, seed):
+    """det_trials' rows from random_form, math.prod and sum, and one elimination per trial."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(trials):
+        q = random_form(rng, int(rng.integers(1, k_max + 1)), 0.1, 10)
+        coeffs = (q.a0, *q.a_rest)
+        closed = math.prod(coeffs) * sum(1.0 / a for a in coeffs)
+        assert cp.det_closed_form(q) == closed
+        rows.append((q.k, closed, float(np.linalg.det(q.matrix()))))
+    return rows
 
 
 class TestDetClosedForm:
@@ -32,12 +46,12 @@ class TestDetClosedForm:
         assert abs(closed - elim) <= 1e-9 * abs(elim)
 
     def test_det_trials_match_one_elimination_per_trial(self):
-        rng = np.random.default_rng(3)
-        want = []
-        for _ in range(300):
-            q = random_form(rng, int(rng.integers(1, 9)), 0.1, 10)
-            want.append((q.k, cp.det_closed_form(q), float(np.linalg.det(q.matrix()))))
-        assert list(quadform.det_trials(300, 8, 3)) == want
+        assert list(quadform.det_trials(300, 8, 3)) == one_trial_at_a_time(300, 8, 3)
+
+    @pytest.mark.parametrize("k_max", [1, 3])
+    def test_det_trials_match_across_a_block_boundary(self, k_max):
+        trials = quadform._DET_BLOCK + 5
+        assert list(quadform.det_trials(trials, k_max, 4)) == one_trial_at_a_time(trials, k_max, 4)
 
     def test_det_trials_stream_in_blocks_in_one_draw_order(self):
         many = list(quadform.det_trials(quadform._DET_BLOCK + 300, 8, 3))
@@ -59,6 +73,28 @@ class TestDetClosedForm:
             cp.QuadFormSpec(1.0, (1.0, -2.0))
         with pytest.raises(ValueError):
             cp.QuadFormSpec(0.0, (1.0,))
+
+    @pytest.mark.parametrize("a0,a_rest", [(1e300, (1e300, 1e300)), (1e-200, (1e-200, 1e-200)),
+                                           (1e-160, (1e-160, 1e300)), (1e200, (1e200,)),
+                                           (1e200, (1e200, 1e-300, 1e-300))])
+    def test_closed_forms_past_the_float_range(self, a0, a_rest):
+        # The coefficient product, or a partial product, overflows or goes
+        # subnormal, while the integral, and for the last two the det, is a
+        # normal float.
+        q = cp.QuadFormSpec(a0, a_rest)
+        with mpmath.workprec(200):
+            coeffs = [mpmath.mpf(a) for a in (a0, *a_rest)]
+            det = mpmath.fprod(coeffs) * mpmath.fsum(1 / a for a in coeffs)
+            want = float(mpmath.pi ** (mpmath.mpf(q.k) / 2) / mpmath.sqrt(det))
+            assert cp.det_closed_form(q) == pytest.approx(float(det), rel=1e-12, abs=0)
+        assert cp.gaussian_quadform_integral(q) == pytest.approx(want, rel=1e-12, abs=0)
+        if q.k <= 2:
+            assert cp.gaussian_integral_quadrature(q) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_integer_coefficients(self):
+        # Their product, 10**25, is past the int64 range.
+        q = cp.QuadFormSpec(10**5, (10**5,) * 4)
+        assert cp.det_closed_form(q) == pytest.approx(5e20, rel=1e-12)
 
     @pytest.mark.parametrize("a0,a_rest", [(math.nan, (1.0,)), (math.inf, (1.0,)),
                                            (1.0, (1.0, math.nan)), (1.0, (math.inf, 1.0)),
@@ -252,6 +288,11 @@ class TestTruncationBound:
             cp.truncation_error_bound(0.5)
 
 
+def grid_max(f, lo, hi):
+    """max|f| on 10^4 evenly spaced points of [lo, hi], the ends included."""
+    return max(abs(f(x)) for x in np.linspace(lo, hi, 10**4).tolist())
+
+
 class TestSumVsIntegral:
     def test_constant(self):
         s, integral, bound = cp.sum_vs_integral(lambda x: 3.0, 0, 10, 0)
@@ -292,6 +333,42 @@ class TestSumVsIntegral:
         f = lambda x: math.cos(2 * math.pi * x)
         with pytest.raises(errors.SumIntegralBoundError):
             cp.sum_vs_integral(f, 0, 50.5, 0)
+
+    def test_max_not_below_a_grid_max_on_the_battery(self):
+        for f, lo, hi, m in selftest.sum_vs_integral_cases():
+            assert cp.sum_vs_integral(f, lo, hi, m)[2] / (2 * (m + 1)) >= grid_max(f, lo, hi)
+
+    def test_max_on_gaussian_bumps(self):
+        # The benchmark's ranges: height 0.5..5, width 5..15 % and centre
+        # 25..75 % of an interval [0, hi], hi from 20 to 200.
+        rng = random.Random(21)
+        for _ in range(50):
+            hi = rng.uniform(20.0, 200.0)
+            centre, width = rng.uniform(0.25, 0.75) * hi, rng.uniform(0.05, 0.15) * hi
+            height = rng.uniform(0.5, 5.0)
+            f = lambda x: height * math.exp(-((x - centre) / width) ** 2 / 2)
+            fmax = cp.sum_vs_integral(f, 0.0, hi, 1)[2] / 4
+            assert grid_max(f, 0.0, hi) <= fmax <= height
+
+    def test_max_costs_few_calls(self):
+        calls = []
+        f = lambda x: calls.append(x) or 3.0 * math.exp(-((x - 61.3) / 9.0) ** 2 / 2)
+        cp.sum_vs_integral(f, 0.0, 150.0, 1)
+        assert len(calls) < 1000  # a 10^4-point grid took more than 10^4
+
+    @pytest.mark.parametrize("f,lo,hi,x", [
+        (lambda x: math.nan if x == 3 else 1.0, 0, 10, "3"),  # a lattice point
+        (lambda x: math.inf if x == 10 else 1.0, 0, 10, "10"),  # the end b, also on the lattice
+        (lambda x: math.nan if x == 0.5 else 1.0, 0.5, 10, "0.5"),  # the end a
+        (lambda x: -math.inf if x == 5.25 else 1.0, 0, 10.5, "5.25"),  # the kernel's centre node
+        # Only the refinement about the peak comes within 1e-6 of 3.3.
+        (lambda x: math.inf if abs(x - 3.3) < 1e-6 else math.exp(-(x - 3.3) ** 2), 0, 10.5,
+         r"3\.299999|3\.300000"),
+    ], ids=["lattice", "b", "a", "node", "refinement"])
+    def test_non_finite_f_raises_naming_x(self, f, lo, hi, x):
+        message = rf"^f\(({x})[0-9]*\) = -?(nan|inf) is not finite$"
+        with pytest.raises(errors.NonFiniteValue, match=message):
+            cp.sum_vs_integral(f, lo, hi, 1)
 
     def test_short_interval_rejected(self):
         with pytest.raises(ValueError):
