@@ -397,6 +397,7 @@ def sum_vs_integral(
     xs, first = np.unique(np.array(seen_x, dtype=float), return_index=True)
     fs = np.abs(np.array(seen_f, dtype=float))[first]
     fmax = float(fs.max())
+    # Each local maximum of |f|, at the first point of a plateau; -1 pads the ends.
     left, right = np.append(-1.0, fs[:-1]), np.append(fs[1:], -1.0)
     for i in np.flatnonzero((fs > left) & (fs >= right)).tolist():
         lo, hi = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, len(xs) - 1)])
