@@ -221,7 +221,7 @@ def cmd_quadform(args) -> int:
     from . import quadform  # numpy loads only for this command and selftest
 
     trials = quadform.det_trials(args.trials, args.k, args.rng_seed)  # checks its arguments
-    checked = ((k, *quadform.det_agreement(closed, elim)) for k, closed, elim in trials)
+    checked = ((k, *quadform.det_agreement(closed, elim, gap)) for k, closed, elim, gap in trials)
     return _tap(args, args.trials,
                 ((ok, f"det k={k} rel_err={rel:.3e}") for k, ok, rel in checked))
 

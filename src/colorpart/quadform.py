@@ -13,13 +13,18 @@ Gauss-Kronrod kernel (``_gk15``), so the module needs numpy only;
 refined about each local maximum, not from a grid.  One column kernel
 (``_closed_dets``) gives the closed-form determinant, for one form in
 ``det_closed_form`` and for each block of ``det_trials`` at once; past the
-float range it goes through ln det.
+float range it goes through ln det.  The Monte Carlo oracle reads one seeded
+PCG64 stream in blocks, split into contiguous runs over up to two threads,
+each from a copy of the state advanced to its first row; the per-block sums
+are added in block order, so its bits do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -29,6 +34,9 @@ from .errors import NonFiniteValue, QuadratureFailure, RadiusTooSmall, SumIntegr
 
 # Rows per Monte Carlo block: 4096 x 8 doubles (256 KiB) stay in L2.
 _MC_BLOCK = 4096
+# Threads per Monte Carlo call at most.  Measured on 2 cores only, where a
+# third thread ran slower than two.
+_MC_WORKERS = 2
 # Trials per det_trials block: about 0.5 KiB of draws and rows each, 2 MiB in all.
 _DET_BLOCK = 4096
 # Half-width of the quadrature box, in coordinates where the form is |t|^2.
@@ -192,17 +200,28 @@ def random_form(rng: np.random.Generator, k: int, low: float, high: float) -> Qu
     )
 
 
-def det_agreement(closed: float, elim: float) -> tuple[bool, float]:
-    """(rel < 1e-9, rel), rel the closed-form determinant's relative error to elimination."""
-    rel = abs(closed - elim) / abs(elim)
+def det_agreement(closed: float, elim: float,
+                  ln_gap: float | None = None) -> tuple[bool, float]:
+    """(rel < 1e-9, rel), rel the closed-form determinant's relative error to elimination.
+
+    Where either determinant is not finite, ``det_trials`` gives ``ln_gap``
+    = ln closed - ln elim, and rel is |expm1(ln_gap)|; without it rel is
+    nan or inf there, so the trial fails.
+    """
+    rel = abs(closed - elim) / abs(elim) if ln_gap is None else abs(math.expm1(ln_gap))
     return rel < 1e-9, rel
 
 
-def det_trials(trials: int, k_max: int, seed: int) -> Iterator[tuple[int, float, float]]:
-    """(k, closed form, elimination) determinants of seeded random forms.
+def det_trials(trials: int, k_max: int,
+               seed: int) -> Iterator[tuple[int, float, float, float | None]]:
+    """(k, closed form, elimination, ln gap) determinants of seeded random forms.
 
     Each trial draws k uniformly from 1..k_max, then coefficients from
     [0.1, 10); the ``quadform`` command and the acceptance battery share it.
+    Past k of about 525 the determinant overflows to inf, so where either
+    value is not finite the ln gap is ln det by ``_ln_det`` less ln det by
+    ``np.linalg.slogdet`` (nan if its sign is not +1), for ``det_agreement``;
+    elsewhere it is None.
     Raises ValueError when ``trials`` or ``k_max`` is below 1, at the call.
     The trials are then drawn one by one, ``_DET_BLOCK`` at a time, and
     each block's trials of one k get one closed-form column kernel and one
@@ -228,12 +247,18 @@ def _det_blocks(trials: int, k_max: int, rng: np.random.Generator):
             by_k.setdefault(k, []).append(i)
             coeffs.append(rng.uniform(0.1, 10, size=k + 1))
         closed, elim = np.empty(len(ks)), np.empty(len(ks))
-        for k, idx in by_k.items():  # one closed form and one stacked elimination per k
-            rows = np.array([coeffs[i] for i in idx])
-            mats = np.repeat(rows[:, 0], k * k).reshape(len(idx), k, k)
-            mats[:, range(k), range(k)] += rows[:, 1:]
-            closed[idx], elim[idx] = _closed_dets(rows.T), np.linalg.det(mats)
-        yield from zip(ks, closed.tolist(), elim.tolist())
+        with np.errstate(over="ignore"):  # a det past the float range is compared in ln det
+            for k, idx in by_k.items():  # one closed form and one stacked elimination per k
+                rows = np.array([coeffs[i] for i in idx])
+                mats = np.repeat(rows[:, 0], k * k).reshape(len(idx), k, k)
+                mats[:, range(k), range(k)] += rows[:, 1:]
+                closed[idx], elim[idx] = _closed_dets(rows.T), np.linalg.det(mats)
+        gaps: list[float | None] = [None] * len(ks)
+        for i in np.flatnonzero(~(np.isfinite(closed) & np.isfinite(elim))).tolist():
+            c = coeffs[i].tolist()
+            sign, ln_elim = np.linalg.slogdet(QuadFormSpec(c[0], tuple(c[1:])).matrix())
+            gaps[i] = _ln_det(c) - (float(ln_elim) if sign == 1 else math.nan)
+        yield from zip(ks, closed.tolist(), elim.tolist(), gaps)
 
 
 def gaussian_quadform_integral(q: QuadFormSpec) -> float:
@@ -273,12 +298,17 @@ def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
     the error adds 16 times the largest inner error to the outer one.
     Raises QuadratureFailure when the error estimate exceeds 1e-6.
     """
+    # Scaled by 4**-m, the form gives the same integrand values, and the
+    # integral 2**(m*k) times larger; both steps are exact.  m is 0 up to
+    # coefficients of 2**1001, past which a sum such as a0 + a1 could overflow.
+    m = max(0, math.frexp(max(q.a0, *q.a_rest))[1] // 2 - 500)
+    a0, a_rest = math.ldexp(q.a0, -2 * m), [math.ldexp(a, -2 * m) for a in q.a_rest]
     if q.k == 1:
-        a = q.a0 + q.a_rest[0]
+        a = a0 + a_rest[0]
         jac = 1 / math.sqrt(a)
         val, err = _gk15(lambda t: np.exp(-a * (jac * t) ** 2), -_BOX, _BOX, epsabs=1e-9)
     elif q.k == 2:
-        a0, (a1, a2) = q.a0, q.a_rest
+        a1, a2 = a_rest
         b = a0 + a2
         hx, hy = 1 / math.sqrt(a1 + a0 * (a2 / b)), 1 / math.sqrt(b)
         jac, inner_err = hx * hy, 0.0
@@ -304,7 +334,7 @@ def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
         raise ValueError("quadrature oracle supports k <= 2; use Monte Carlo above")
     if err > 1e-6:
         raise QuadratureFailure(f"quadrature error estimate {err} too large")
-    return val * jac
+    return math.ldexp(val * jac, -m * q.k)
 
 
 def gaussian_integral_monte_carlo(
@@ -315,7 +345,17 @@ def gaussian_integral_monte_carlo(
 ) -> tuple[float, float]:
     """Monte Carlo oracle: (estimate, standard error) over the truncated box.
 
-    Raises ValueError when ``samples`` is below 2 or ``radius`` is not finite.
+    The draws are those of one ``uniform(-radius, radius, size=(samples, k))``
+    call on ``default_rng(seed)``, taken in ``_MC_BLOCK``-row blocks.  Up to
+    ``_mc_workers`` threads split the blocks into contiguous runs: each
+    takes a copy of the seeded PCG64 state advanced by k outputs per row
+    skipped, since each double of ``random`` uses exactly one output, so
+    together they read the one stream even for ``seed=None``.  The
+    per-block sums are added in block order, so the result has the same
+    bits whatever the number of CPUs.  A Gaussian proposal would need
+    another split: ``standard_normal`` uses a varying number of outputs
+    per draw.  Raises ValueError when ``samples`` is below 2 or
+    ``radius`` is not finite.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
@@ -323,22 +363,74 @@ def gaussian_integral_monte_carlo(
         raise ValueError(f"radius must be finite, got {radius}")
     truncation_error_bound(radius)
     rng = np.random.default_rng(seed)
+    blocks = -(-samples // _MC_BLOCK)
+    workers = _mc_workers(blocks)
+    # Worker w takes the rows [starts[w], starts[w + 1]), whole blocks but the last.
+    starts = [w * blocks // workers * _MC_BLOCK for w in range(workers)] + [samples]
+    gens = [rng]
+    for start in starts[1:-1]:  # copied before any draw, so no thread reads a moving state
+        bits = np.random.PCG64()
+        bits.state = rng.bit_generator.state
+        bits.advance(start * q.k)
+        gens.append(np.random.Generator(bits))
+    shares: list = [None] * workers
+
+    def run(w):
+        try:
+            shares[w] = _mc_block_sums(q, radius, gens[w], starts[w + 1] - starts[w])
+        except BaseException as exc:  # raised again below, in the caller
+            shares[w] = exc
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            t = threading.Thread(target=run, args=(w,))
+            t.start()
+            threads.append(t)
+        run(0)  # the first share, in the calling thread
+    finally:
+        for t in threads:
+            t.join()
+    total = 0.0
+    total_sq = 0.0
+    for share in shares:
+        if isinstance(share, BaseException):
+            raise share
+        for s, s2 in share:
+            total += s
+            total_sq += s2
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
     volume = (2 * radius) ** q.k
+    return volume * mean, volume * math.sqrt(var / samples)
+
+
+def _mc_workers(blocks: int) -> int:
+    """Threads for ``blocks`` Monte Carlo blocks: at most the CPUs, blocks and _MC_WORKERS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, blocks, _MC_WORKERS)
+
+
+def _mc_block_sums(q: QuadFormSpec, radius: float, rng: np.random.Generator,
+                   rows: int) -> list[tuple[float, float]]:
+    """(sum f, sum f**2) of each _MC_BLOCK-row block of the next ``rows`` rows of draws."""
     a_rest = np.asarray(q.a_rest)
     ones = np.ones(q.k)
     # Blocked and in place: one (B, k) draw buffer and two length-B work
     # vectors, so memory stays O(B*k) whatever the sample count.  Filling
     # rows in order with random() and mapping to [-radius, radius) gives
-    # the same draws as uniform(-radius, radius, size=(samples, k)).  Row
+    # the same draws as uniform(-radius, radius, size=(rows, k)).  Row
     # sums go through matmul with ones: np.sum over a short last axis
     # costs as much as drawing the numbers.
     buf = np.empty((_MC_BLOCK, q.k))
     buf_sq = np.empty(_MC_BLOCK)
     buf_val = np.empty(_MC_BLOCK)
-    total = 0.0
-    total_sq = 0.0
-    for start in range(0, samples, _MC_BLOCK):
-        m = min(_MC_BLOCK, samples - start)
+    sums = []
+    for start in range(0, rows, _MC_BLOCK):
+        m = min(_MC_BLOCK, rows - start)
         x, sq, vals = buf[:m], buf_sq[:m], buf_val[:m]
         rng.random(out=x)
         x *= 2 * radius
@@ -350,11 +442,8 @@ def gaussian_integral_monte_carlo(
         np.matmul(x, a_rest, out=vals)
         np.subtract(sq, vals, out=vals)
         np.exp(vals, out=vals)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return volume * mean, volume * math.sqrt(var / samples)
+        sums.append((float(vals.sum()), float(np.dot(vals, vals))))
+    return sums
 
 
 def sum_vs_integral(

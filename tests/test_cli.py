@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -429,13 +430,19 @@ class TestQuadform:
         assert run(capsys, "quadform", "--k", "3", "--trials", "5", "--rng-seed", "0") == (
             0, GOLDEN_QUADFORM_K3, "")
 
+    def test_overflowing_determinants_agree_in_ln_det(self, capsys):
+        # Seed 2 draws k = 578, whose det overflows to inf in both methods.
+        code, out, err = run(capsys, "quadform", "--k", "690", "--trials", "1", "--rng-seed", "2")
+        assert (code, err) == (0, "")
+        assert re.fullmatch(r"1\.\.1\nok 1 - det k=578 rel_err=\d\.\d{3}e-1[0-6]\n", out)
+
     def test_each_line_goes_out_as_its_trial_is_drawn(self, capsys, monkeypatch):
         before = []
 
         def det_trials(trials, k_max, seed):
-            yield 1, 2.0, 2.0
+            yield 1, 2.0, 2.0, None
             before.append(capsys.readouterr().out)
-            yield 2, 3.0, 1.0
+            yield 2, 3.0, 1.0, None
 
         monkeypatch.setattr(quadform, "det_trials", det_trials)
         assert run(capsys, "quadform", "--trials", "2") == (

@@ -1,6 +1,9 @@
 import inspect
 import math
+import os
 import random
+import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -15,7 +18,10 @@ C1 = math.pi * math.sqrt(2 / 3)
 
 
 def one_trial_at_a_time(trials, k_max, seed):
-    """det_trials' rows from random_form, math.prod and sum, and one elimination per trial."""
+    """det_trials' rows from random_form, math.prod and sum, and one elimination per trial.
+
+    Every det of k <= 8 and coefficients in [0.1, 10) is finite, so no row has an ln gap.
+    """
     rng = np.random.default_rng(seed)
     rows = []
     for _ in range(trials):
@@ -23,7 +29,7 @@ def one_trial_at_a_time(trials, k_max, seed):
         coeffs = (q.a0, *q.a_rest)
         closed = math.prod(coeffs) * sum(1.0 / a for a in coeffs)
         assert cp.det_closed_form(q) == closed
-        rows.append((q.k, closed, float(np.linalg.det(q.matrix()))))
+        rows.append((q.k, closed, float(np.linalg.det(q.matrix())), None))
     return rows
 
 
@@ -67,6 +73,31 @@ class TestDetClosedForm:
         assert quadform.det_agreement(3.0, 3.0) == (True, 0.0)
         assert quadform.det_agreement(1e9 + 1, 1e9) == (False, 1e-9)
         assert quadform.det_agreement(1e9 - 0.5, -1e9)[0] is False
+
+    def test_det_agreement_past_the_float_range_needs_the_ln_gap(self):
+        assert quadform.det_agreement(math.inf, math.inf, 1e-13) == (True, math.expm1(1e-13))
+        assert quadform.det_agreement(1e308, math.inf, -2e-9)[0] is False
+        ok, rel = quadform.det_agreement(math.inf, math.inf)
+        assert ok is False and math.isnan(rel)
+
+    def test_det_trials_past_the_float_range(self):
+        # Seed 2 draws k = 578, whose det passes 1.8e308 in both methods.
+        [(k, closed, elim, gap)] = quadform.det_trials(1, 690, 2)
+        assert (k, closed, elim) == (578, math.inf, math.inf)
+        rng = np.random.default_rng(2)
+        rng.integers(1, 691)
+        q = random_form(rng, k, 0.1, 10)
+        sign, ln_elim = np.linalg.slogdet(q.matrix())
+        coeffs = [mpmath.mpf(a) for a in (q.a0, *q.a_rest)]
+        ln_closed = mpmath.fsum(map(mpmath.log, coeffs)) + mpmath.log(mpmath.fsum(1 / a for a in coeffs))
+        assert sign == 1 and gap == pytest.approx(float(ln_closed) - ln_elim, rel=0, abs=1e-12)
+        assert quadform.det_agreement(closed, elim, gap) == (True, abs(math.expm1(gap)))
+
+    def test_det_trials_ln_gap_needs_a_positive_elimination(self, monkeypatch):
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (-slogdet(a)[0], slogdet(a)[1]))
+        [(_, closed, elim, gap)] = quadform.det_trials(1, 690, 2)
+        assert math.isnan(gap) and quadform.det_agreement(closed, elim, gap)[0] is False
 
     def test_positivity_required(self):
         with pytest.raises(ValueError):
@@ -136,6 +167,23 @@ class TestGaussianIntegral:
             closed = cp.gaussian_quadform_integral(q)
             assert cp.gaussian_integral_quadrature(q) == pytest.approx(closed, rel=1e-9)
 
+    @pytest.mark.parametrize("a0,a_rest", [(1.7e308, (1.7e308,)), (1.7e308, (1.0, 1.7e308))])
+    def test_quadrature_past_the_float_range(self, a0, a_rest):
+        # a0 + a1, or b = a0 + a2, overflows unless the form is scaled first.
+        q = cp.QuadFormSpec(a0, a_rest)
+        assert cp.gaussian_integral_quadrature(q) == pytest.approx(
+            cp.gaussian_quadform_integral(q), rel=1e-9)
+
+    @pytest.mark.parametrize("a0,a_rest", [(1.5, (2.5,)), (0.7, (2.5, 1.3)), (1e3, (1.0, 1.0))])
+    @pytest.mark.parametrize("j", [-100, 100, 505])
+    def test_quadrature_scales_exactly(self, a0, a_rest, j):
+        # A form 4**j times larger has the integral 2**(j*k) times smaller, bit
+        # for bit, also where j = 505 makes the oracle scale the form itself.
+        q = cp.QuadFormSpec(a0, a_rest)
+        big = cp.QuadFormSpec(a0 * 4.0**j, tuple(a * 4.0**j for a in a_rest))
+        want = math.ldexp(cp.gaussian_integral_quadrature(q), -j * q.k)
+        assert cp.gaussian_integral_quadrature(big) == want
+
     def test_quadrature_takes_only_the_form(self):
         assert list(inspect.signature(cp.gaussian_integral_quadrature).parameters) == ["q"]
 
@@ -168,6 +216,65 @@ class TestGaussianIntegral:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("samples", [2, 4095, 4096, 4097, 3 * 4096 + 1, 10**5 + 3])
+    def test_monte_carlo_bits_do_not_depend_on_the_worker_count(self, monkeypatch, samples):
+        # More threads than blocks or cores, and a short switch interval, so
+        # the threads interleave often.
+        rng = np.random.default_rng(12)
+        forms = [random_form(rng, k, 0.1, 10) for k in range(1, 9)]
+        results = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 5):
+                monkeypatch.setattr(quadform, "_mc_workers", lambda blocks, n=workers: n)
+                results[workers] = [cp.gaussian_integral_monte_carlo(q, samples, 3.0, seed=k)
+                                    for k, q in enumerate(forms)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[2] == results[1] and results[3] == results[1] and results[5] == results[1]
+
+    def test_monte_carlo_seed_none_reads_one_stream(self, monkeypatch):
+        # Fixed entropy for seed=None: a worker that reseeded would draw from fresh entropy.
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: default_rng(5 if seed is None else seed))
+        monkeypatch.setattr(quadform, "_mc_workers", lambda blocks: 2)
+        q = cp.QuadFormSpec(1.0, (1.0,) * 3)
+        assert cp.gaussian_integral_monte_carlo(q, 10**4, 3.0, seed=None) == \
+            cp.gaussian_integral_monte_carlo(q, 10**4, 3.0, seed=5)
+
+    def test_monte_carlo_worker_count(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert quadform._mc_workers(1) == 1
+        assert quadform._mc_workers(10**6) == min(cpus, quadform._MC_WORKERS)
+
+    def test_monte_carlo_one_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+        monkeypatch.setattr(quadform.threading, "Thread", no_thread)
+        cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,) * 3), quadform._MC_BLOCK)
+
+    def test_monte_carlo_joins_its_threads(self, monkeypatch):
+        monkeypatch.setattr(quadform, "_mc_workers", lambda blocks: 3)
+        before = threading.active_count()
+        cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,) * 3), 10**5)
+        assert threading.active_count() == before
+
+    def test_monte_carlo_worker_exception_reaches_the_caller(self, monkeypatch):
+        block_sums = quadform._mc_block_sums
+
+        def fails_off_the_calling_thread(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise errors.NonFiniteValue("from a worker")
+            return block_sums(*args)
+        monkeypatch.setattr(quadform, "_mc_workers", lambda blocks: 2)
+        monkeypatch.setattr(quadform, "_mc_block_sums", fails_off_the_calling_thread)
+        before = threading.active_count()
+        with pytest.raises(errors.NonFiniteValue, match="from a worker"):
+            cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,) * 3), 10**5)
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("samples", [1, 0, -5])
     def test_monte_carlo_rejects_too_few_samples(self, samples):
