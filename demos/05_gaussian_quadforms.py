@@ -59,4 +59,4 @@ print(f"  k=3: closed {cp.gaussian_quadform_integral(q3):.6f}  "
 print("\nquadrature integrates over [-8, 8]^k in coordinates taken from the form's")
 print("conditional factorisation (for k = 2, x scaled by the Schur complement and y")
 print("centred on its conditional mean), in which the form is |t|^2, so the mass")
-print(f"cut off per coordinate is below exp(-64) = {cp.truncation_error_bound(8.0):.3e}")
+print(f"cut off per coordinate is below exp(-64) = {math.exp(-64):.3e}")

@@ -59,7 +59,6 @@ _QUADFORM_NAMES = frozenset({
     "gaussian_integral_quadrature",
     "gaussian_quadform_integral",
     "sum_vs_integral",
-    "truncation_error_bound",
 })
 # The public names: everything imported above, and quadform's.
 __all__ = sorted({name for name, value in globals().items()

@@ -29,10 +29,6 @@ class InsufficientData(ColorpartError, ValueError):
     """Too few (or too narrowly spread) rows for an exponent fit."""
 
 
-class RadiusTooSmall(ColorpartError, ValueError):
-    """The Gaussian tail bound exp(-r^2) is only valid for r >= 1."""
-
-
 class QuadratureFailure(ColorpartError):
     """Adaptive quadrature did not converge to the requested tolerance."""
 

@@ -206,9 +206,10 @@ def check_budget(est: int, unit: str, budget: int) -> None:
         raise TooLarge(f"estimated {est} {unit} exceeds budget {budget}")
 
 
-def check_fold_budget(moduli, n: int, budget: int) -> None:
-    """Raise TooLarge if folding colors of these moduli at n takes over ``budget`` steps."""
-    check_budget(sum((n // si + 1) * (n + 1) for si in moduli), "fold steps", budget)
+def check_fold_budget(classes, n: int, budget: int) -> None:
+    """Raise TooLarge if folding colors at n takes over ``budget`` steps; ``classes``
+    holds (s, colors of modulus s) pairs, so no list of one modulus per color is built."""
+    check_budget(sum(li * (n // si + 1) * (n + 1) for si, li in classes), "fold steps", budget)
 
 
 def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int) -> None:
@@ -223,11 +224,12 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     if method == "convolution":
-        return check_fold_budget(spec.moduli, n_max, budget)
+        return check_fold_budget(zip(spec.s, spec.l), n_max, budget)
     if method == "divisor":
         est = n_max * (n_max + 1) // 2
     else:
-        est = sum(n_max - si * g + 1 for si in spec.moduli for g, _ in _pentagonal(n_max // si))
+        est = sum(li * (n_max - si * g + 1) for si, li in zip(spec.s, spec.l)
+                  for g, _ in _pentagonal(n_max // si))
     check_budget(est, f"{method} steps", budget)
 
 
@@ -294,7 +296,7 @@ def g_via_tuple_convolution(spec: ColoredSpec, n: int, ptable: ExactSeries,
     check_partition_table(ptable, n)
     p = ptable.coeffs
     if free is None:
-        check_fold_budget(spec.moduli, n, budget)
+        check_fold_budget(zip(spec.s, spec.l), n, budget)
         return _fold(n, p, _free_colors(spec, n))
     if len(free) <= n:
         raise ValueError(f"free-color product covers 0..{len(free) - 1}, need {n}")

@@ -11,10 +11,18 @@ import mpmath
 
 MIN_BITS = 64
 DEFAULT_BITS = 128
+MAX_BITS = 2**14  # compare on s=1,3;l=2,2 at n = 64..1024: 0.45 s here, 4.9 s at 2**16
+
+
+def check_bits(prec: int) -> None:
+    """Raise ValueError unless MIN_BITS <= prec <= MAX_BITS."""
+    if prec < MIN_BITS:
+        raise ValueError(f"precision must be >= {MIN_BITS} bits, got {prec}")
+    if prec > MAX_BITS:
+        raise ValueError(f"precision must be <= {MAX_BITS} bits, got {prec}")
 
 
 def working_precision(prec: int = DEFAULT_BITS):
     """Context manager setting mpmath's precision for a computation."""
-    if prec < MIN_BITS:
-        raise ValueError(f"precision must be >= {MIN_BITS} bits, got {prec}")
+    check_bits(prec)
     return mpmath.workprec(prec)

@@ -30,7 +30,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import NonFiniteValue, QuadratureFailure, RadiusTooSmall, SumIntegralBoundError
+from .errors import NonFiniteValue, QuadratureFailure, SumIntegralBoundError
 
 # Rows per Monte Carlo block: 4096 x 8 doubles (256 KiB) stay in L2.
 _MC_BLOCK = 4096
@@ -39,6 +39,7 @@ _MC_BLOCK = 4096
 _MC_WORKERS = 2
 # Trials per det_trials block: about 0.5 KiB of draws and rows each, 2 MiB in all.
 _DET_BLOCK = 4096
+_DET_TOL = 1e-9  # a det trial passes when its relative error is below this
 # Half-width of the quadrature box, in coordinates where the form is |t|^2.
 _BOX = 8.0
 # Golden-section steps sum_vs_integral takes about each local maximum of |f|.
@@ -200,28 +201,13 @@ def random_form(rng: np.random.Generator, k: int, low: float, high: float) -> Qu
     )
 
 
-def det_agreement(closed: float, elim: float,
-                  ln_gap: float | None = None) -> tuple[bool, float]:
-    """(rel < 1e-9, rel), rel the closed-form determinant's relative error to elimination.
-
-    Where either determinant is not finite, ``det_trials`` gives ``ln_gap``
-    = ln closed - ln elim, and rel is |expm1(ln_gap)|; without it rel is
-    nan or inf there, so the trial fails.
-    """
-    rel = abs(closed - elim) / abs(elim) if ln_gap is None else abs(math.expm1(ln_gap))
-    return rel < 1e-9, rel
-
-
-def det_trials(trials: int, k_max: int,
-               seed: int) -> Iterator[tuple[int, float, float, float | None]]:
-    """(k, closed form, elimination, ln gap) determinants of seeded random forms.
+def det_trials(trials: int, k_max: int, seed: int) -> Iterator[tuple[int, bool, float]]:
+    """(k, passed, rel) for the determinants of seeded random forms.
 
     Each trial draws k uniformly from 1..k_max, then coefficients from
     [0.1, 10); the ``quadform`` command and the acceptance battery share it.
-    Past k of about 525 the determinant overflows to inf, so where either
-    value is not finite the ln gap is ln det by ``_ln_det`` less ln det by
-    ``np.linalg.slogdet`` (nan if its sign is not +1), for ``det_agreement``;
-    elsewhere it is None.
+    rel is the closed form's relative error to elimination, and a trial
+    passes when it is below 1e-9 (see ``_judge``).
     Raises ValueError when ``trials`` or ``k_max`` is below 1, at the call.
     The trials are then drawn one by one, ``_DET_BLOCK`` at a time, and
     each block's trials of one k get one closed-form column kernel and one
@@ -247,18 +233,27 @@ def _det_blocks(trials: int, k_max: int, rng: np.random.Generator):
             by_k.setdefault(k, []).append(i)
             coeffs.append(rng.uniform(0.1, 10, size=k + 1))
         closed, elim = np.empty(len(ks)), np.empty(len(ks))
-        with np.errstate(over="ignore"):  # a det past the float range is compared in ln det
+        with np.errstate(over="ignore"):  # a det past the float range is judged in ln det
             for k, idx in by_k.items():  # one closed form and one stacked elimination per k
                 rows = np.array([coeffs[i] for i in idx])
                 mats = np.repeat(rows[:, 0], k * k).reshape(len(idx), k, k)
                 mats[:, range(k), range(k)] += rows[:, 1:]
                 closed[idx], elim[idx] = _closed_dets(rows.T), np.linalg.det(mats)
-        gaps: list[float | None] = [None] * len(ks)
-        for i in np.flatnonzero(~(np.isfinite(closed) & np.isfinite(elim))).tolist():
-            c = coeffs[i].tolist()
-            sign, ln_elim = np.linalg.slogdet(QuadFormSpec(c[0], tuple(c[1:])).matrix())
-            gaps[i] = _ln_det(c) - (float(ln_elim) if sign == 1 else math.nan)
-        yield from zip(ks, closed.tolist(), elim.tolist(), gaps)
+        yield from zip(ks, *_judge(closed, elim, coeffs))
+
+
+def _judge(closed: np.ndarray, elim: np.ndarray, coeffs) -> tuple[list[bool], list[float]]:
+    """(rel < 1e-9, rel) per trial: rel = |closed - elim| / |elim|, or where either
+    det is not finite (past k of about 525) |expm1(ln gap)|, the gap being ln det
+    by ``_ln_det`` of coeffs[i] = (a0, ..., ak) less ln det by ``np.linalg.slogdet``,
+    and nan when the latter's sign is not +1."""
+    with np.errstate(all="ignore"):  # non-finite entries are judged in ln det below
+        rel = np.abs(closed - elim) / np.abs(elim)
+    for i in np.flatnonzero(~(np.isfinite(closed) & np.isfinite(elim))).tolist():
+        c = coeffs[i].tolist()
+        sign, ln_elim = np.linalg.slogdet(QuadFormSpec(c[0], tuple(c[1:])).matrix())
+        rel[i] = abs(math.expm1(_ln_det(c) - (float(ln_elim) if sign == 1 else math.nan)))
+    return (rel < _DET_TOL).tolist(), rel.tolist()
 
 
 def gaussian_quadform_integral(q: QuadFormSpec) -> float:
@@ -274,16 +269,6 @@ def gaussian_quadform_integral(q: QuadFormSpec) -> float:
     return _exp(q.k / 2 * math.log(math.pi) - _ln_det([q.a0, *q.a_rest]) / 2)
 
 
-def truncation_error_bound(radius: float) -> float:
-    """Upper bound exp(-r^2) on the one-dimensional Gaussian tail beyond r.
-
-    Valid for r >= 1; used to justify box-truncated quadrature cross-checks.
-    """
-    if radius < 1:
-        raise RadiusTooSmall(f"tail bound requires radius >= 1, got {radius}")
-    return math.exp(-radius * radius)
-
-
 def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
     """Adaptive-quadrature oracle for the Gaussian integral, k in {1, 2}.
 
@@ -291,8 +276,8 @@ def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
     for k = 1; for k = 2, Q = S*x**2 + b*(y + a0*x/b)**2 with b = a0 + a2 and
     S = a1 + a0*a2/b (the Schur complement), so x = t/sqrt(S) and
     y = -a0*x/b + u/sqrt(b).  Q is |(t, u)|^2, so the mass outside the box
-    [-8, 8]^k is at most sqrt(pi)*erfc(8) per coordinate, below
-    ``truncation_error_bound(8)``, for every form.  The integrand is still
+    [-8, 8]^k is at most a fraction erfc(8) < exp(-64) of the integral per
+    coordinate, for every form.  The integrand is still
     exp(-Q(x, y)), times the Jacobian.  For k = 2 the kernel nests: one
     inner call integrates over u at every outer node of a step at once, and
     the error adds 16 times the largest inner error to the outer one.
@@ -355,13 +340,12 @@ def gaussian_integral_monte_carlo(
     bits whatever the number of CPUs.  A Gaussian proposal would need
     another split: ``standard_normal`` uses a varying number of outputs
     per draw.  Raises ValueError when ``samples`` is below 2 or
-    ``radius`` is not finite.
+    ``radius`` is not positive and finite.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    if not math.isfinite(radius):
-        raise ValueError(f"radius must be finite, got {radius}")
-    truncation_error_bound(radius)
+    if not 0 < radius < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(seed)
     blocks = -(-samples // _MC_BLOCK)
     workers = _mc_workers(blocks)
@@ -463,8 +447,12 @@ def sum_vs_integral(
     each local maximum of |f| over those points, inside the bracket of its
     two neighbours.  Raises NonFiniteValue, naming x, at the first NaN or
     infinity f returns; SumIntegralBoundError if |sum - integral| exceeds
-    the bound; QuadratureFailure if the integral cannot be trusted.
+    the bound; QuadratureFailure if the integral cannot be trusted;
+    ValueError, naming it, for a non-finite a or b, before f is called.
     """
+    for name, end in (("a", a), ("b", b)):
+        if not math.isfinite(end):
+            raise ValueError(f"{name} must be finite, got {end}")
     if b - a < 1:
         raise ValueError("interval must have length >= 1")
     if m < 0:

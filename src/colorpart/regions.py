@@ -46,10 +46,15 @@ def saddle_tuple(spec: ColoredSpec, n: int) -> list[Fraction]:
     Exact rationals, one entry per color in spec.moduli order; satisfies
     sum s_i * v_{i,j} = n exactly.
     """
+    return [vi for vi, li in zip(_class_saddles(spec, n), spec.l) for _ in range(li)]
+
+
+def _class_saddles(spec: ColoredSpec, n: int) -> list[Fraction]:
+    """The saddle value n / (s_i^2 * a) of each modulus s_i; ValueError for n < 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a = spec.growth_rate()
-    return [Fraction(n) / (si**2 * a) for si in spec.moduli]
+    return [Fraction(n) / (si**2 * a) for si in spec.s]
 
 
 def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
@@ -73,25 +78,24 @@ def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
     return lo, hi
 
 
-def check_split_budget(spec: ColoredSpec, n: int, eta: Fraction, budget: int) -> list[Fraction]:
+def check_split_budget(spec: ColoredSpec, n: int, eta: Fraction, budget: int) -> None:
     """Raise TooLarge if splitting g(n) at eta takes over ``budget`` steps.
 
-    Beside the fold steps, each end of a color's box costs about
+    Beside the fold steps, each end of a free color's box costs about
     bits(n//s + 1) box tests, whose powers reach B = (a + b) * bits(n * vd)
     bits for eta = a/b, v = vn/vd; one is counted as (B/64)**1.5 word
-    products, just under Karatsuba's exponent log2(3).  The saddle tuple
-    comes first, so n < 1 raises its ValueError before any estimate; it is
-    returned for the split.
+    products, just under Karatsuba's exponent log2(3).  Each modulus counts
+    once, times its free colors (all but the first for s = 1).  The saddle
+    values come first, so n < 1 raises their ValueError before any estimate.
     """
-    v = saddle_tuple(spec, n)
-    free = spec.moduli[1:]
-    check_fold_budget(free, n, budget)
+    v = _class_saddles(spec, n)
+    free = (spec.l[0] - 1, *spec.l[1:])
+    check_fold_budget(zip(spec.s, free), n, budget)
     est = 0
-    for si, vi in zip(free, v[1:]):
+    for si, li, vi in zip(spec.s, free, v):
         words = (eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
-        est += 2 * (n // si + 1).bit_length() * math.isqrt(words**3)
+        est += li * 2 * (n // si + 1).bit_length() * math.isqrt(words**3)
     check_budget(est, "box-test steps", budget)
-    return v
 
 
 def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries | None = None,
@@ -107,13 +111,14 @@ def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries | None = No
 
     The checks run before any table is built: WindowUndefined or
     EtaOutOfWindow (from ``require_eta``) for an inadmissible eta, then
-    ValueError for n < 1 (from ``saddle_tuple``, before any estimate), then
+    ValueError for n < 1 (before any estimate), then
     TooLarge when ``check_split_budget``'s estimate exceeds ``budget``.
     ``ptable``, p(0..n) or longer, is built by ``partition_table`` when not
     given; a given one is checked by ``check_partition_table``.
     """
     eta = require_eta(spec, eta)
-    v = check_split_budget(spec, n, eta, budget)
+    check_split_budget(spec, n, eta, budget)
+    v = saddle_tuple(spec, n)
     if ptable is None:
         ptable = partition_table(n)
     check_partition_table(ptable, n)

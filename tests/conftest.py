@@ -1,7 +1,7 @@
 import pytest
 
 import colorpart as cp
-from colorpart import asymptotic, exact, regions, selftest
+from colorpart import asymptotic, exact, regions, selftest, specs
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +39,11 @@ def forbid(monkeypatch):
                 if getattr(mod, name, None) is original:
                     monkeypatch.setattr(mod, name, called)
     return forbid
+
+
+@pytest.fixture
+def no_moduli(monkeypatch):
+    """Fail the test if anything expands a spec to one modulus per color."""
+    def moduli(self):
+        raise AssertionError("ColoredSpec.moduli read")
+    monkeypatch.setattr(specs.ColoredSpec, "moduli", property(moduli))

@@ -6,9 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
-from colorpart import cli, exact, quadform, selftest
+from colorpart import cli, exact, precision, quadform, selftest
 
 ROOT = Path(__file__).resolve().parent.parent
 # Runs the CLI on its arguments, then writes the process's max RSS to stderr.
@@ -93,6 +94,15 @@ GOLDEN = [
                  "ok 3 - det k=2 rel_err=1.805e-16\n",
                  id="quadform"),
 ]
+
+
+# One run of each command, for the checks every command makes.
+EVERY_COMMAND = (["exact", "--spec", "s=1;l=1", "--n-max", "5"],
+                 ["asymptotic", "--spec", "s=1;l=1", "--n-list", "5"],
+                 ["compare", "--spec", "s=1;l=1", "--n-list", "16"],
+                 ["fit", "--spec", "s=1;l=1", "--n-geom", "64:1024"],
+                 ["regions", "--spec", "s=1;l=2", "--n", "100"],
+                 ["quadform"], ["selftest"])
 
 
 def run(capsys, *argv):
@@ -225,6 +235,17 @@ class TestExact:
             assert (code, out) == (2, "")
             assert err.startswith("error: ") and "x.csv" in err
         assert not path.parent.exists()
+
+    @pytest.mark.parametrize("argv,err", [
+        (["exact", "--n-max", "1", "--method", "euler"], "20000000 euler steps"),
+        (["exact", "--n-max", "1", "--method", "convolution"], "80000000 fold steps"),
+        (["exact", "--n-max", "1", "--method", "all"], "80000000 fold steps"),
+        (["regions", "--n", "100", "--eta", "0.75000001"], f"{19_999_999 * 101**2} fold steps"),
+    ], ids=["euler", "convolution", "all", "regions"])
+    def test_many_colors_refused_without_one_entry_per_color(self, capsys, no_moduli, argv,
+                                                             err):
+        assert run(capsys, *argv, "--spec", "s=1;l=20000000", "--budget", "1") == (
+            4, "", f"error: estimated {err} exceeds budget 1\n")
 
 
 class TestAsymptotic:
@@ -440,9 +461,9 @@ class TestQuadform:
         before = []
 
         def det_trials(trials, k_max, seed):
-            yield 1, 2.0, 2.0, None
+            yield 1, True, 0.0
             before.append(capsys.readouterr().out)
-            yield 2, 3.0, 1.0, None
+            yield 2, False, 2.0
 
         monkeypatch.setattr(quadform, "det_trials", det_trials)
         assert run(capsys, "quadform", "--trials", "2") == (
@@ -507,11 +528,20 @@ class TestUsage:
 
     def test_precision_too_low(self, capsys):
         # Every command checks --precision-bits, whether or not it uses it.
-        for argv in (["exact", "--spec", "s=1;l=1", "--n-max", "5"],
-                     ["asymptotic", "--spec", "s=1;l=1"],
-                     ["compare", "--spec", "s=1;l=1", "--n-list", "16"],
-                     ["fit", "--spec", "s=1;l=1", "--n-geom", "64:1024"],
-                     ["regions", "--spec", "s=1;l=2", "--n", "100"],
-                     ["quadform"], ["selftest"]):
+        for argv in EVERY_COMMAND:
             assert run(capsys, *argv, "--precision-bits", "32") == (
                 2, "", "error: precision must be >= 64 bits, got 32\n"), argv[0]
+
+    def test_precision_too_high(self, capsys, monkeypatch):
+        # Refused before any extended-precision work, by every command.
+        monkeypatch.setattr(mpmath, "workprec", None)
+        for argv in EVERY_COMMAND:
+            for bits in ("16385", "1000000"):
+                assert run(capsys, *argv, "--precision-bits", bits) == (
+                    2, "", f"error: precision must be <= 16384 bits, got {bits}\n"), argv[0]
+
+    def test_precision_ceiling_is_admitted(self, capsys):
+        assert precision.MAX_BITS == 16384
+        code, out, err = run(capsys, "asymptotic", "--spec", "s=1;l=1", "--n-list", "5",
+                             "--precision-bits", "16384")
+        assert (code, err) == (0, "") and out.startswith("a,1\n")

@@ -19,7 +19,7 @@ ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "scipy", "colorpart.quadform", "colorpart.selftest")
 QUADFORM_NAMES = ["QuadFormSpec", "det_closed_form", "gaussian_integral_monte_carlo",
                   "gaussian_integral_quadrature", "gaussian_quadform_integral",
-                  "sum_vs_integral", "truncation_error_bound"]
+                  "sum_vs_integral"]
 
 
 def fresh_python(*args):

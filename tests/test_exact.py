@@ -166,6 +166,14 @@ class TestEulerProduct:
         with pytest.raises(errors.TooLarge, match=f"^estimated {steps} euler steps "):
             exact.check_series_budget("euler", spec, n_max, steps - 1)
 
+    @pytest.mark.parametrize("method,steps", [("euler", "20000000 euler"),
+                                              ("convolution", "80000000 fold")])
+    def test_many_colors_refused_without_one_entry_per_color(self, no_moduli, method, steps):
+        # 2 * 10**7 colors of modulus 1: one pentagonal step, or 2 * 2 fold steps, each.
+        spec = cp.validate([1], [20_000_000])
+        with pytest.raises(errors.TooLarge, match=f"^estimated {steps} steps "):
+            exact.check_series_budget(method, spec, 1, 1)
+
 
 class TestTupleConvolution:
     def test_reduces_to_p(self, classical_spec, ptable_2000):
@@ -184,6 +192,15 @@ class TestTupleConvolution:
         spec = cp.validate([1], [3])
         with pytest.raises(errors.TooLarge):
             cp.g_via_tuple_convolution(spec, 1000, ptable_2000, budget=100)
+
+    @pytest.mark.parametrize("s,l", [([1], [3]), ([1, 3], [2, 2]), ([1, 2, 5], [3, 1, 2])])
+    def test_fold_budget_counts_every_color(self, s, l):
+        # (n//s + 1) * (n + 1) steps per color, counted once per modulus.
+        spec, n = cp.validate(s, l), 300
+        steps = sum((n // si + 1) * (n + 1) for si in spec.moduli)
+        exact.check_series_budget("convolution", spec, n, steps)
+        with pytest.raises(errors.TooLarge, match=f"^estimated {steps} fold steps "):
+            exact.check_series_budget("convolution", spec, n, steps - 1)
 
     def test_table_too_short(self):
         with pytest.raises(ValueError):

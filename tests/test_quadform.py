@@ -20,7 +20,8 @@ C1 = math.pi * math.sqrt(2 / 3)
 def one_trial_at_a_time(trials, k_max, seed):
     """det_trials' rows from random_form, math.prod and sum, and one elimination per trial.
 
-    Every det of k <= 8 and coefficients in [0.1, 10) is finite, so no row has an ln gap.
+    Every det of k <= 8 and coefficients in [0.1, 10) is finite, so each
+    row's rel is the plain relative error, in Python floats.
     """
     rng = np.random.default_rng(seed)
     rows = []
@@ -29,8 +30,17 @@ def one_trial_at_a_time(trials, k_max, seed):
         coeffs = (q.a0, *q.a_rest)
         closed = math.prod(coeffs) * sum(1.0 / a for a in coeffs)
         assert cp.det_closed_form(q) == closed
-        rows.append((q.k, closed, float(np.linalg.det(q.matrix())), None))
+        elim = float(np.linalg.det(q.matrix()))
+        rel = abs(closed - elim) / abs(elim)
+        rows.append((q.k, rel < 1e-9, rel))
     return rows
+
+
+def judge(closed, elim, coeffs):
+    """quadform._judge on one trial: (passed, rel)."""
+    [ok], [rel] = quadform._judge(np.array([closed]), np.array([elim]),
+                                  [np.array(coeffs, dtype=float)])
+    return ok, rel
 
 
 class TestDetClosedForm:
@@ -54,7 +64,7 @@ class TestDetClosedForm:
     def test_det_trials_match_one_elimination_per_trial(self):
         assert list(quadform.det_trials(300, 8, 3)) == one_trial_at_a_time(300, 8, 3)
 
-    @pytest.mark.parametrize("k_max", [1, 3])
+    @pytest.mark.parametrize("k_max", [1, 3, 8])
     def test_det_trials_match_across_a_block_boundary(self, k_max):
         trials = quadform._DET_BLOCK + 5
         assert list(quadform.det_trials(trials, k_max, 4)) == one_trial_at_a_time(trials, k_max, 4)
@@ -70,34 +80,42 @@ class TestDetClosedForm:
             quadform.det_trials(trials, k_max, 0)  # not iterated
 
     def test_det_agreement_is_strictly_below_1e_9(self):
-        assert quadform.det_agreement(3.0, 3.0) == (True, 0.0)
-        assert quadform.det_agreement(1e9 + 1, 1e9) == (False, 1e-9)
-        assert quadform.det_agreement(1e9 - 0.5, -1e9)[0] is False
+        # Both dets finite: rel is |closed - elim| / |elim|, whatever the coefficients.
+        assert judge(3.0, 3.0, [1.0, 1.0]) == (True, 0.0)
+        assert judge(1e9 + 1, 1e9, [1.0, 1.0]) == (False, 1e-9)
+        ok, rel = judge(1e9 - 0.5, -1e9, [1.0, 1.0])
+        assert ok is False and rel == pytest.approx(2.0)
 
     def test_det_agreement_past_the_float_range_needs_the_ln_gap(self):
-        assert quadform.det_agreement(math.inf, math.inf, 1e-13) == (True, math.expm1(1e-13))
-        assert quadform.det_agreement(1e308, math.inf, -2e-9)[0] is False
-        ok, rel = quadform.det_agreement(math.inf, math.inf)
-        assert ok is False and math.isnan(rel)
+        # Either det not finite: rel is |expm1(ln gap)| of the coefficients' two ln dets.
+        coeffs = [0.5, 3.0, 7.0]
+        gap = quadform._ln_det(coeffs) - np.linalg.slogdet(
+            cp.QuadFormSpec(0.5, (3.0, 7.0)).matrix())[1]
+        for closed, elim in [(math.inf, math.inf), (1e308, math.inf), (math.inf, 1e308)]:
+            assert judge(closed, elim, coeffs) == (True, abs(math.expm1(gap)))
+        assert abs(gap) < 1e-13
 
     def test_det_trials_past_the_float_range(self):
         # Seed 2 draws k = 578, whose det passes 1.8e308 in both methods.
-        [(k, closed, elim, gap)] = quadform.det_trials(1, 690, 2)
-        assert (k, closed, elim) == (578, math.inf, math.inf)
+        [(k, ok, rel)] = quadform.det_trials(1, 690, 2)
         rng = np.random.default_rng(2)
         rng.integers(1, 691)
         q = random_form(rng, k, 0.1, 10)
+        with np.errstate(over="ignore"):
+            assert k == 578 and cp.det_closed_form(q) == np.linalg.det(q.matrix()) == math.inf
         sign, ln_elim = np.linalg.slogdet(q.matrix())
         coeffs = [mpmath.mpf(a) for a in (q.a0, *q.a_rest)]
         ln_closed = mpmath.fsum(map(mpmath.log, coeffs)) + mpmath.log(mpmath.fsum(1 / a for a in coeffs))
-        assert sign == 1 and gap == pytest.approx(float(ln_closed) - ln_elim, rel=0, abs=1e-12)
-        assert quadform.det_agreement(closed, elim, gap) == (True, abs(math.expm1(gap)))
+        assert sign == 1 and ok is True
+        assert rel == pytest.approx(abs(math.expm1(float(ln_closed) - ln_elim)), rel=0, abs=1e-12)
 
     def test_det_trials_ln_gap_needs_a_positive_elimination(self, monkeypatch):
         slogdet = np.linalg.slogdet
         monkeypatch.setattr(np.linalg, "slogdet", lambda a: (-slogdet(a)[0], slogdet(a)[1]))
-        [(_, closed, elim, gap)] = quadform.det_trials(1, 690, 2)
-        assert math.isnan(gap) and quadform.det_agreement(closed, elim, gap)[0] is False
+        [(_, ok, rel)] = quadform.det_trials(1, 690, 2)
+        assert ok is False and math.isnan(rel)
+        ok, rel = judge(math.inf, math.inf, [0.5, 3.0, 7.0])
+        assert ok is False and math.isnan(rel)
 
     def test_positivity_required(self):
         with pytest.raises(ValueError):
@@ -281,10 +299,17 @@ class TestGaussianIntegral:
         with pytest.raises(ValueError, match="samples"):
             cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,)), samples=samples)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0, -1.0])
     def test_monte_carlo_rejects_non_finite_radius(self, radius):
-        with pytest.raises(ValueError, match="radius"):
+        with pytest.raises(ValueError, match="^radius must be positive and finite"):
             cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,)), samples=10, radius=radius)
+
+    def test_monte_carlo_takes_a_radius_below_one(self):
+        est, se = cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,)), samples=10**4,
+                                                   radius=0.5, seed=1)
+        # exp(-2x^2) over [-0.5, 0.5]: sqrt(pi/2) * erf(1/sqrt(2)).
+        assert math.isfinite(est) and math.isfinite(se)
+        assert abs(est - math.sqrt(math.pi / 2) * math.erf(math.sqrt(0.5))) < 5 * se
 
     def test_factorization_identity(self):
         rng = np.random.default_rng(9)
@@ -374,27 +399,6 @@ class TestGaussKronrod:
         assert len(calls) == 10  # the whole interval, then one bisection per call
 
 
-class TestTruncationBound:
-    def test_radius_one(self):
-        bound = cp.truncation_error_bound(1.0)
-        assert bound == pytest.approx(math.exp(-1))
-        true_tail = math.sqrt(math.pi) / 2 * math.erfc(1.0)
-        assert true_tail == pytest.approx(0.1394, abs=1e-4)
-        assert true_tail <= bound
-
-    def test_radius_three(self):
-        assert cp.truncation_error_bound(3.0) == pytest.approx(math.exp(-9))
-
-    def test_bound_dominates_tail(self):
-        for r in np.linspace(1.0, 6.0, 11):
-            true_tail = math.sqrt(math.pi) / 2 * math.erfc(r)
-            assert true_tail <= cp.truncation_error_bound(r)
-
-    def test_radius_too_small(self):
-        with pytest.raises(errors.RadiusTooSmall):
-            cp.truncation_error_bound(0.5)
-
-
 def grid_max(f, lo, hi):
     """max|f| on 10^4 evenly spaced points of [lo, hi], the ends included."""
     return max(abs(f(x)) for x in np.linspace(lo, hi, 10**4).tolist())
@@ -480,3 +484,12 @@ class TestSumVsIntegral:
     def test_short_interval_rejected(self):
         with pytest.raises(ValueError):
             cp.sum_vs_integral(lambda x: 1.0, 0, 0.5, 0)
+
+    @pytest.mark.parametrize("lo,hi,name", [(0.0, math.inf, "b"), (math.nan, 5.0, "a"),
+                                            (-math.inf, 5.0, "a"), (0.0, math.nan, "b")])
+    def test_non_finite_end_refused_before_f_is_called(self, lo, hi, name):
+        def f(x):
+            raise AssertionError("f called")
+        end = lo if name == "a" else hi
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {end}$"):
+            cp.sum_vs_integral(f, lo, hi, 0)

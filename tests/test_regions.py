@@ -186,6 +186,30 @@ class TestRegionSplit:
             with pytest.raises(errors.TooLarge):
                 cp.region_split(spec, 200, Fraction(4, 5), table, budget=100)
 
+    @pytest.mark.parametrize("eta", [Fraction(4, 5), Fraction("0.80000001")])
+    @pytest.mark.parametrize("s,l", [([1], [3]), ([1, 3], [2, 2]), ([1, 2, 5], [1, 3, 2])])
+    def test_split_budget_counts_every_free_color(self, s, l, eta):
+        # The fold and box-test estimates summed over the colors but the first.
+        spec, n = cp.validate(s, l), 200
+        free = list(zip(spec.moduli, cp.saddle_tuple(spec, n)))[1:]
+        fold = sum((n // si + 1) * (n + 1) for si, _ in free)
+        words = [(eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
+                 for _, vi in free]
+        box = sum(2 * (n // si + 1).bit_length() * math.isqrt(w**3)
+                  for (si, _), w in zip(free, words))
+        with pytest.raises(errors.TooLarge, match=f"^estimated {fold} fold steps "):
+            regions.check_split_budget(spec, n, eta, fold - 1)
+        regions.check_split_budget(spec, n, eta, max(fold, box))
+        if box > fold:  # at the finer eta
+            with pytest.raises(errors.TooLarge, match=f"^estimated {box} box-test steps "):
+                regions.check_split_budget(spec, n, eta, box - 1)
+
+    def test_many_colors_refused_without_one_entry_per_color(self, no_moduli):
+        # 2 * 10**7 - 1 free colors of 101 * 101 fold steps each.
+        spec = cp.validate([1], [20_000_000])
+        with pytest.raises(errors.TooLarge, match=f"^estimated {19_999_999 * 101**2} fold steps "):
+            cp.region_split(spec, 100, Fraction(75_000_001, 10**8), budget=1)
+
     def test_negative_n_refused_before_the_estimate(self, forbid):
         # The fold estimate at n = -10**6 is far over budget; n is checked first.
         forbid("partition_table")
