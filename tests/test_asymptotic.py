@@ -27,6 +27,15 @@ class TestLnOfBigint:
         with pytest.raises(errors.NonPositive):
             cp.ln_of_bigint(0)
 
+    def test_precision_range_refused_by_the_library(self):
+        # The same range as --precision-bits, without going through the CLI.
+        with pytest.raises(ValueError, match="<= 16384 bits, got 16385"):
+            cp.ln_of_bigint(2, prec=16385)
+        with pytest.raises(ValueError, match=">= 64 bits, got 63"):
+            cp.working_precision(63)
+        with mpmath.workprec(16384):
+            assert cp.ln_of_bigint(2, prec=16384) == mpmath.log(2)
+
 
 class TestLnMainTerm:
     def test_n_one_kills_power_term(self, classical_spec):

@@ -95,6 +95,21 @@ class TestDetClosedForm:
             assert judge(closed, elim, coeffs) == (True, abs(math.expm1(gap)))
         assert abs(gap) < 1e-13
 
+    @pytest.mark.parametrize("shift,passed", [(5e-10, True), (2e-9, False)])
+    def test_ln_gap_is_judged_by_its_size(self, monkeypatch, shift, passed):
+        # slogdet's ln det moved by shift: rel is |expm1(gap)| of the moved gap,
+        # not 0, and past 1e-9 the trial fails.
+        slogdet = np.linalg.slogdet
+        monkeypatch.setattr(np.linalg, "slogdet", lambda a: (slogdet(a)[0], slogdet(a)[1] + shift))
+        coeffs = [0.5, 3.0, 7.0]
+        gap = quadform._ln_det(coeffs) - np.linalg.slogdet(
+            cp.QuadFormSpec(0.5, (3.0, 7.0)).matrix())[1]
+        for closed, elim in [(math.inf, math.inf), (1e308, math.inf), (math.inf, 1e308)]:
+            assert judge(closed, elim, coeffs) == (passed, abs(math.expm1(gap)))
+        assert abs(math.expm1(gap)) == pytest.approx(shift, rel=1e-3)
+        [(_, ok, rel)] = quadform.det_trials(1, 690, 2)
+        assert ok is passed and rel == pytest.approx(shift, rel=1e-3)
+
     def test_det_trials_past_the_float_range(self):
         # Seed 2 draws k = 578, whose det passes 1.8e308 in both methods.
         [(k, ok, rel)] = quadform.det_trials(1, 690, 2)
