@@ -13,15 +13,6 @@ integrals of coupled positive-definite quadratic forms.
 import importlib
 import types
 
-from .asymptotic import (
-    ComparisonRow,
-    ExponentFit,
-    comparison_table,
-    fit_error_exponent,
-    geometric_grid,
-    ln_main_term,
-    ln_of_bigint,
-)
 from .exact import (
     ExactSeries,
     Method,
@@ -32,11 +23,6 @@ from .exact import (
     partition_table,
 )
 from .precision import working_precision
-from .regions import (
-    RegionSplitReport,
-    region_split,
-    saddle_tuple,
-)
 from .specs import (
     AsymptoticConstants,
     ColoredSpec,
@@ -50,29 +36,33 @@ from .specs import (
 
 __version__ = "0.1.0"
 
-# quadform needs numpy, which takes most of a cold start, and nothing beyond
-# it; it is imported when one of its names is first looked up (PEP 562).
-_QUADFORM_NAMES = frozenset({
-    "QuadFormSpec",
-    "det_closed_form",
-    "gaussian_integral_monte_carlo",
-    "gaussian_integral_quadrature",
-    "gaussian_quadform_integral",
-    "sum_vs_integral",
-})
-# The public names: everything imported above, and quadform's.
+# Submodules imported when one of their names is first looked up (PEP 562),
+# with their public names: asymptotic and regions need mpmath and quadform
+# needs numpy, which together take most of a cold start, and the exact
+# series need neither.
+_LAZY = {
+    "asymptotic": ("ComparisonRow", "ExponentFit", "comparison_table", "fit_error_exponent",
+                   "geometric_grid", "ln_main_term", "ln_of_bigint"),
+    "regions": ("RegionSplitReport", "region_split", "saddle_tuple"),
+    "quadform": ("QuadFormSpec", "det_closed_form", "gaussian_integral_monte_carlo",
+                 "gaussian_integral_quadrature", "gaussian_quadform_integral",
+                 "sum_vs_integral"),
+}
+_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
+# The public names: everything imported above, and the lazy submodules'.
 __all__ = sorted({name for name, value in globals().items()
                   if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-                 | _QUADFORM_NAMES)
+                 | set(_LAZY_OWNER))
 
 
 def __getattr__(name):
-    if name == "quadform" or name in _QUADFORM_NAMES:
-        # Not ``from . import quadform``: its hasattr check would call back here.
-        quadform = importlib.import_module(".quadform", __name__)
-        return quadform if name == "quadform" else getattr(quadform, name)
+    module = _LAZY_OWNER.get(name, name)
+    if module in _LAZY:
+        # Not ``from . import ...``: its hasattr check would call back here.
+        owner = importlib.import_module(f".{module}", __name__)
+        return owner if name == module else getattr(owner, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_QUADFORM_NAMES, "quadform"})
+    return sorted({*globals(), *_LAZY, *_LAZY_OWNER})

@@ -15,9 +15,7 @@ import json
 import sys
 from fractions import Fraction
 
-import mpmath
-
-from . import asymptotic, exact, regions, specs
+from . import exact, specs
 from .errors import ColorpartError, InsufficientData, OracleMismatch, TooLarge
 from .precision import DEFAULT_BITS, check_bits
 
@@ -74,6 +72,8 @@ def _parse_ns(args) -> list[int]:
         except ValueError:
             raise ValueError(f"--n-geom must be START:STOP, two integers, "
                              f"got {args.n_geom!r}") from None
+        from . import asymptotic
+
         return asymptotic.geometric_grid(start, stop)
     if args.n_list:
         try:
@@ -86,7 +86,9 @@ def _parse_ns(args) -> list[int]:
 
 def _text(value) -> str:
     """A value as csv cells and JSON strings show it; mpmath floats get 25 digits."""
-    return mpmath.nstr(value, 25) if isinstance(value, mpmath.mpf) else str(value)
+    # No mpf exists before mpmath is loaded, and exact and quadform never load it.
+    mpmath = sys.modules.get("mpmath")
+    return mpmath.nstr(value, 25) if mpmath and isinstance(value, mpmath.mpf) else str(value)
 
 
 def _json_value(value):
@@ -165,6 +167,8 @@ def cmd_exact(args) -> int:
 
 
 def cmd_asymptotic(args) -> int:
+    from . import asymptotic  # mpmath loads only for the commands that use it
+
     spec = _resolve_spec(args)
     consts = specs.constants(spec, prec=args.precision_bits)
     ln_main = {n: asymptotic.ln_main_term(consts, n) for n in _parse_ns(args)}
@@ -180,6 +184,8 @@ def _comparison_rows(args):
     spec = _resolve_spec(args)
     if not (args.n_geom or args.n_list):
         raise InsufficientData("provide --n-geom START:STOP or --n-list N1,N2,...")
+    from . import asymptotic
+
     return asymptotic.comparison_table(spec, _parse_ns(args), prec=args.precision_bits,
                                        budget=args.budget)
 
@@ -192,6 +198,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from . import asymptotic
+
     fit = asymptotic.fit_error_exponent(_comparison_rows(args))
     _emit(args, {"slope": fit.slope, "intercept": fit.intercept,
                  "r_squared": fit.r_squared, "n_range": fit.n_range},
@@ -205,6 +213,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_regions(args) -> int:
+    import mpmath
+
+    from . import regions
+
     report = regions.region_split(_resolve_spec(args), args.n, args.eta, budget=args.budget)
     _emit(args, {"spec": report.spec, "n": report.n, "eta": report.eta, "v": report.v,
                  "main_sum": str(report.main_sum), "tail_sum": str(report.tail_sum),

@@ -7,8 +7,6 @@ defaulting to ``DEFAULT_BITS``; there is no process-wide setting.
 
 from __future__ import annotations
 
-import mpmath
-
 MIN_BITS = 64
 DEFAULT_BITS = 128
 MAX_BITS = 2**14  # compare on s=1,3;l=2,2 at n = 64..1024: 0.45 s here, 4.9 s at 2**16
@@ -25,4 +23,6 @@ def check_bits(prec: int) -> None:
 def working_precision(prec: int = DEFAULT_BITS):
     """Context manager setting mpmath's precision for a computation."""
     check_bits(prec)
+    import mpmath  # here, so that the commands that do no mpmath work never load it
+
     return mpmath.workprec(prec)

@@ -12,8 +12,6 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import EtaOutOfWindow, SpecError, WindowUndefined
 from .precision import DEFAULT_BITS, working_precision
 
@@ -152,6 +150,8 @@ def constants(spec: ColoredSpec, prec: int = DEFAULT_BITS) -> AsymptoticConstant
     Exponents are assembled as exact rationals and converted to floats in a
     single powering step each, so no rounding accumulates across the product.
     """
+    import mpmath  # here, so that the commands that do no mpmath work never load it
+
     a = spec.growth_rate()
     total = spec.total_colors()
     d = Fraction(-3, 4) - Fraction(total, 4)
@@ -203,7 +203,5 @@ def require_eta(spec: ColoredSpec, eta) -> Fraction:
         raise ValueError(f"eta must be a rational number, got {eta!r}") from None
     window = eta_window(spec)
     if not window.contains(eta):
-        raise EtaOutOfWindow(
-            f"eta={float(eta):.6f} outside ({window.lower}, {window.upper})"
-        )
+        raise EtaOutOfWindow(f"eta={eta} outside ({window.lower}, {window.upper})")
     return eta

@@ -404,6 +404,12 @@ class TestRegions:
         assert run(capsys, "regions", "--spec", "s=1;l=2", "--n", "50", "--eta", eta) == (
             2, "", f"error: eta must be a rational number, got {eta!r}\n")
 
+    def test_eta_outside_the_window_is_shown_exactly(self, capsys):
+        # Rounded to 6 decimals this eta would read as the upper bound itself.
+        assert run(capsys, "regions", "--spec", "s=1;l=3", "--n", "100",
+                   "--eta", "0.8333334") == (
+            2, "", "error: eta=4166667/5000000 outside (3/4, 5/6)\n")
+
     def test_classical_rejected(self, capsys):
         code, _, _ = run(capsys, "regions", "--spec", "s=1;l=1",
                          "--n", "50", "--eta", "4/5")

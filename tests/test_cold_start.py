@@ -1,8 +1,8 @@
-"""numpy loads only for the quadform paths, no path loads scipy, and the
-lazy paths work.
+"""numpy loads only for the quadform paths, mpmath only for the paths that
+use it, no path loads scipy, and the lazy paths work.
 
 The cold checks run in a fresh interpreter: the suite's conftest has
-already imported ``selftest`` and with it numpy.
+already imported ``selftest`` and with it numpy and mpmath.
 """
 
 import os
@@ -13,13 +13,21 @@ from pathlib import Path
 import pytest
 
 import colorpart
-from colorpart import cli, quadform
+from colorpart import asymptotic, cli, quadform, regions
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "scipy", "colorpart.quadform", "colorpart.selftest")
+# Loaded only by the commands and library names that do mpmath work.
+MPMATH = ("mpmath", "colorpart.asymptotic", "colorpart.regions")
 QUADFORM_NAMES = ["QuadFormSpec", "det_closed_form", "gaussian_integral_monte_carlo",
                   "gaussian_integral_quadrature", "gaussian_quadform_integral",
                   "sum_vs_integral"]
+LAZY_NAMES = {
+    asymptotic: ["ComparisonRow", "ExponentFit", "comparison_table", "fit_error_exponent",
+                 "geometric_grid", "ln_main_term", "ln_of_bigint"],
+    regions: ["RegionSplitReport", "region_split", "saddle_tuple"],
+    quadform: QUADFORM_NAMES,
+}
 
 
 def fresh_python(*args):
@@ -62,18 +70,56 @@ def test_no_path_loads_scipy():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 []\n", "")
 
 
-def test_quadform_command_from_a_cold_interpreter(capsys):
-    argv = ["quadform", "--k", "3", "--trials", "3", "--rng-seed", "0"]
-    assert cli.main(argv) == 0
-    in_process = capsys.readouterr().out
+# Writes the MPMATH modules left in sys.modules to stderr.
+LOADED = f"print(*[m for m in {MPMATH!r} if m in sys.modules], file=sys.stderr)"
+AFTER_CLI = ("import sys; from colorpart import cli; code = cli.main(sys.argv[1:]); "
+             f"{LOADED}; sys.exit(code)")
+
+
+@pytest.mark.parametrize("args", [
+    ["-c", f"import sys, colorpart; {LOADED}"],
+    ["-c", f"import sys, colorpart.cli; {LOADED}"],
+    ["-c", AFTER_CLI, "exact", "--spec", "s=1,3;l=2,2", "--n-max", "60", "--method", "all"],
+    ["-c", AFTER_CLI, "quadform", "--k", "4", "--trials", "5"],
+], ids=["import-colorpart", "import-cli", "exact", "quadform"])
+def test_start_loads_no_mpmath(args):
+    proc = fresh_python(*args)
+    assert (proc.returncode, proc.stderr) == (0, "\n")
+
+
+def cold_and_in_process(capsys, argv):
+    """(exit code, stdout) of the CLI on argv in this process and in a fresh one."""
+    code = cli.main(argv)
+    in_process = (code, capsys.readouterr().out)
     proc = fresh_python("-c", "import sys; from colorpart import cli; "
                               "sys.exit(cli.main(sys.argv[1:]))", *argv)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, in_process, "")
+    assert proc.stderr == ""
+    return in_process, (proc.returncode, proc.stdout)
+
+
+def test_quadform_command_from_a_cold_interpreter(capsys):
+    argv = ["quadform", "--k", "3", "--trials", "3", "--rng-seed", "0"]
+    in_process, cold = cold_and_in_process(capsys, argv)
+    assert cold == in_process and cold[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--spec", "s=1,3;l=2,2", "--n-list", "8,40", "--format", "json"],
+    ["compare", "--spec", "s=1;l=2", "--n-geom", "16:64"],
+    ["regions", "--spec", "s=1;l=3", "--n", "40"],
+], ids=["compare-json", "compare-csv", "regions"])
+def test_mpmath_command_from_a_cold_interpreter(capsys, argv):
+    # Their mpf cells print at 25 digits, and tail_fraction at 17, cold as well.
+    in_process, cold = cold_and_in_process(capsys, argv)
+    assert cold == in_process and cold[0] == 0
 
 
 class TestLazyReexport:
     def test_every_public_name_resolves(self):
-        assert set(QUADFORM_NAMES) <= set(colorpart.__all__)
+        for module, names in LAZY_NAMES.items():
+            assert set(names) <= set(colorpart.__all__)
+            for name in names:
+                assert getattr(colorpart, name) is getattr(module, name)
         for name in colorpart.__all__:
             assert getattr(colorpart, name) is not None
 
@@ -81,7 +127,9 @@ class TestLazyReexport:
         namespace = {}
         exec("from colorpart import *", namespace)
         assert set(colorpart.__all__) <= set(namespace)
-        assert namespace["QuadFormSpec"] is quadform.QuadFormSpec
+        for module, names in LAZY_NAMES.items():
+            for name in names:
+                assert namespace[name] is getattr(module, name)
 
     def test_names_are_the_quadform_objects(self):
         assert colorpart.QuadFormSpec is colorpart.quadform.QuadFormSpec
@@ -89,7 +137,8 @@ class TestLazyReexport:
             assert getattr(colorpart, name) is getattr(quadform, name)
 
     def test_dir_lists_them(self):
-        assert set(QUADFORM_NAMES) | {"quadform"} <= set(dir(colorpart))
+        for module, names in LAZY_NAMES.items():
+            assert {*names, module.__name__.rpartition(".")[2]} <= set(dir(colorpart))
 
     def test_unknown_name_raises(self):
         with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):

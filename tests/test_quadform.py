@@ -79,14 +79,14 @@ class TestDetClosedForm:
         with pytest.raises(ValueError, match="must be >= 1"):
             quadform.det_trials(trials, k_max, 0)  # not iterated
 
-    def test_det_agreement_is_strictly_below_1e_9(self):
+    def test_judge_is_strictly_below_1e_9(self):
         # Both dets finite: rel is |closed - elim| / |elim|, whatever the coefficients.
         assert judge(3.0, 3.0, [1.0, 1.0]) == (True, 0.0)
         assert judge(1e9 + 1, 1e9, [1.0, 1.0]) == (False, 1e-9)
         ok, rel = judge(1e9 - 0.5, -1e9, [1.0, 1.0])
         assert ok is False and rel == pytest.approx(2.0)
 
-    def test_det_agreement_past_the_float_range_needs_the_ln_gap(self):
+    def test_judge_past_the_float_range_needs_the_ln_gap(self):
         # Either det not finite: rel is |expm1(ln gap)| of the coefficients' two ln dets.
         coeffs = [0.5, 3.0, 7.0]
         gap = quadform._ln_det(coeffs) - np.linalg.slogdet(
