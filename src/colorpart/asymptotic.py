@@ -9,28 +9,27 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import mpmath
 
 from .errors import InsufficientData, NonPositive
 from .exact import DEFAULT_FOLD_BUDGET, ExactSeries, check_series_budget, g_series_divisor
 from .precision import DEFAULT_BITS, working_precision
-from .specs import AsymptoticConstants, ColoredSpec, constants
+from .specs import AsymptoticConstants, ColoredSpec, _Record, constants
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(_Record):
+    __slots__ = ("n", "ln_exact", "ln_main", "rel_err")
     n: int
     ln_exact: mpmath.mpf
     ln_main: mpmath.mpf
     rel_err: mpmath.mpf
 
 
-@dataclass(frozen=True)
-class ExponentFit:
+class ExponentFit(_Record):
     """Least-squares fit of ln|rel_err| against ln n."""
 
+    __slots__ = ("slope", "intercept", "r_squared", "n_range")
     slope: float
     intercept: float
     r_squared: float

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
-import json
 import sys
-from fractions import Fraction
 
 from . import exact, specs
 from .errors import ColorpartError, InsufficientData, OracleMismatch, TooLarge
@@ -94,8 +91,10 @@ def _text(value) -> str:
 def _json_value(value):
     """JSON for the values json does not know: a spec, a Fraction, an mpmath float."""
     if isinstance(value, specs.ColoredSpec):
-        return dataclasses.asdict(value)
-    if isinstance(value, Fraction):
+        return {"s": value.s, "l": value.l}
+    # As in _text: no Fraction exists before fractions is loaded, and exact never loads it.
+    fractions = sys.modules.get("fractions")
+    if fractions and isinstance(value, fractions.Fraction):
         return [value.numerator, value.denominator]
     return _text(value)
 
@@ -108,6 +107,8 @@ def rows_to_csv(header, rows) -> str:
 def value_to_json(value) -> str:
     """One JSON line.  Exact integers go in as decimal strings: JSON readers
     would round them to doubles."""
+    import json
+
     return json.dumps(value, default=_json_value) + "\n"
 
 

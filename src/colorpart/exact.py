@@ -22,13 +22,12 @@ the others; the test suite enforces three-way agreement.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from itertools import repeat
 from math import isqrt
 from operator import add, mul
 
 from .errors import TooLarge
-from .specs import ColoredSpec, validate
+from .specs import ColoredSpec, _Record, validate
 
 
 class Method(enum.Enum):
@@ -37,17 +36,18 @@ class Method(enum.Enum):
     TUPLE_CONVOLUTION = "convolution"
 
 
-@dataclass(frozen=True)
-class ExactSeries:
+class ExactSeries(_Record):
     """Exact coefficient table g(0..N) together with the method that built it."""
 
+    __slots__ = ("spec", "coeffs", "method")
     spec: ColoredSpec
     coeffs: tuple[int, ...]
     method: Method
 
-    def __post_init__(self):
-        if self.coeffs and self.coeffs[0] != 1:
-            raise ValueError(f"series must start at g(0)=1, got {self.coeffs[0]}")
+    def __init__(self, spec: ColoredSpec, coeffs: tuple[int, ...], method: Method):
+        if coeffs and coeffs[0] != 1:
+            raise ValueError(f"series must start at g(0)=1, got {coeffs[0]}")
+        super().__init__(spec, coeffs, method)
 
     def __len__(self) -> int:
         return len(self.coeffs)

@@ -3,26 +3,73 @@
 A spec is a pair of integer tuples (s, l): ``l[i]`` colors may only be used
 on parts divisible by ``s[i]``.  The moduli must satisfy
 ``1 = s[0] < s[1] < ... < s[k-1]`` and every multiplicity must be positive.
+
+``json`` and ``fractions`` are imported by the functions that use them, so
+that ``colorpart exact`` starts without them.
 """
 
 from __future__ import annotations
 
-import json
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import EtaOutOfWindow, SpecError, WindowUndefined
 from .precision import DEFAULT_BITS, working_precision
 
-ETA_LOWER = Fraction(3, 4)
-ETA_CAP = Fraction(5, 6)
+
+class _Record:
+    """An immutable record of the fields named in ``__slots__``.
+
+    It compares and hashes by value, as a tuple of its fields, and never
+    equals an object of another class; its repr is ``Name(field=value, ...)``.
+    It stands in for ``@dataclass(frozen=True)``, whose import (``inspect``,
+    ``ast``, ``dis``) and per-class code generation cost the ``exact`` cold
+    start more than its work.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *values, **named):
+        fields = self.__slots__
+        if named:
+            values += tuple(named.pop(f) for f in fields[len(values):] if f in named)
+        if named or len(values) != len(fields):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(fields)}")
+        for field, value in zip(fields, values):
+            object.__setattr__(self, field, value)
+
+    def __eq__(self, other):
+        # Spec equality runs on every tuple-fold call, almost always between
+        # one object and itself, which the identity test answers at once;
+        # otherwise one C-level call reads every field.
+        if other.__class__ is self.__class__:
+            return other is self or self._values(self) == self._values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__, since __setattr__ refuses.
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
-@dataclass(frozen=True)
-class ColoredSpec:
+class ColoredSpec(_Record):
     """Validated (s, l) pair. Construct via :func:`validate` or the parsers."""
 
+    __slots__ = ("s", "l")
     s: tuple[int, ...]
     l: tuple[int, ...]
 
@@ -35,6 +82,8 @@ class ColoredSpec:
 
     def growth_rate(self) -> Fraction:
         """The exact rational sum of l[i]/s[i] driving the exponential."""
+        from fractions import Fraction
+
         return sum((Fraction(li, si) for si, li in zip(self.s, self.l)), Fraction(0))
 
     @property
@@ -116,6 +165,8 @@ def parse_text(text: str) -> ColoredSpec:
 
 def parse_json(text: str) -> ColoredSpec:
     """Parse the JSON form ``{"s": [1, 3], "l": [2, 2]}``."""
+    import json
+
     try:
         obj = json.loads(text, object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as exc:
@@ -128,8 +179,7 @@ def parse_json(text: str) -> ColoredSpec:
     return validate(obj["s"], obj["l"])
 
 
-@dataclass(frozen=True)
-class AsymptoticConstants:
+class AsymptoticConstants(_Record):
     """Closed-form constants of the leading asymptotic term.
 
     The main term is  M(n) = c * n**d * exp(exp_coeff * sqrt(n)).
@@ -137,6 +187,7 @@ class AsymptoticConstants:
     floats carrying ``prec`` bits of significand.
     """
 
+    __slots__ = ("a", "d", "c", "exp_coeff", "prec")
     a: Fraction
     d: Fraction
     c: mpmath.mpf
@@ -150,6 +201,8 @@ def constants(spec: ColoredSpec, prec: int = DEFAULT_BITS) -> AsymptoticConstant
     Exponents are assembled as exact rationals and converted to floats in a
     single powering step each, so no rounding accumulates across the product.
     """
+    from fractions import Fraction
+
     import mpmath  # here, so that the commands that do no mpmath work never load it
 
     a = spec.growth_rate()
@@ -166,14 +219,16 @@ def constants(spec: ColoredSpec, prec: int = DEFAULT_BITS) -> AsymptoticConstant
         return AsymptoticConstants(a=a, d=d, c=+c, exp_coeff=+exp_coeff, prec=prec)
 
 
-@dataclass(frozen=True)
-class EtaWindow:
+class EtaWindow(_Record):
     """Open interval of admissible box-width exponents eta."""
 
+    __slots__ = ("lower", "upper")
     lower: Fraction
     upper: Fraction
 
     def contains(self, eta) -> bool:
+        from fractions import Fraction
+
         eta = Fraction(eta)
         return self.lower < eta < self.upper
 
@@ -188,15 +243,19 @@ def eta_window(spec: ColoredSpec) -> EtaWindow:
         raise WindowUndefined(
             f"eta window needs k + l[0] >= 3, got k={spec.k}, l[0]={spec.l[0]}"
         )
+    from fractions import Fraction
+
     total = spec.total_colors()
-    upper = ETA_CAP
+    upper = Fraction(5, 6)
     if total > 2:
         upper = min(upper, Fraction(3, 4) * Fraction(total - 1, total - 2))
-    return EtaWindow(lower=ETA_LOWER, upper=upper)
+    return EtaWindow(lower=Fraction(3, 4), upper=upper)
 
 
 def require_eta(spec: ColoredSpec, eta) -> Fraction:
     """Check eta, a number or rational string, against the window; return a Fraction."""
+    from fractions import Fraction
+
     try:
         eta = Fraction(eta)
     except (ValueError, ZeroDivisionError):

@@ -1,5 +1,6 @@
 """numpy loads only for the quadform paths, mpmath only for the paths that
-use it, no path loads scipy, and the lazy paths work.
+use it, no path loads scipy, the exact path loads no dataclasses, json or
+fractions, and the lazy paths work.
 
 The cold checks run in a fresh interpreter: the suite's conftest has
 already imported ``selftest`` and with it numpy and mpmath.
@@ -70,21 +71,44 @@ def test_no_path_loads_scipy():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0 []\n", "")
 
 
-# Writes the MPMATH modules left in sys.modules to stderr.
-LOADED = f"print(*[m for m in {MPMATH!r} if m in sys.modules], file=sys.stderr)"
-AFTER_CLI = ("import sys; from colorpart import cli; code = cli.main(sys.argv[1:]); "
-             f"{LOADED}; sys.exit(code)")
+def loaded_after(modules, code, *argv):
+    """Those of ``modules`` in sys.modules after ``code`` ran with ``argv`` in a
+    fresh interpreter, which must succeed.  The list goes to stderr, as the CLI
+    writes its output to stdout."""
+    proc = fresh_python("-c", f"import sys; {code}; "
+                              f"print(*[m for m in {modules!r} if m in sys.modules], "
+                              f"file=sys.stderr)", *argv)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stderr.split()
+
+
+RUN_CLI = "from colorpart import cli; assert cli.main(sys.argv[1:]) == 0"
+EXACT_ALL = ["exact", "--spec", "s=1,3;l=2,2", "--n-max", "60", "--method", "all"]
 
 
 @pytest.mark.parametrize("args", [
-    ["-c", f"import sys, colorpart; {LOADED}"],
-    ["-c", f"import sys, colorpart.cli; {LOADED}"],
-    ["-c", AFTER_CLI, "exact", "--spec", "s=1,3;l=2,2", "--n-max", "60", "--method", "all"],
-    ["-c", AFTER_CLI, "quadform", "--k", "4", "--trials", "5"],
+    ["import colorpart"],
+    ["import colorpart.cli"],
+    [RUN_CLI, *EXACT_ALL],
+    [RUN_CLI, "quadform", "--k", "4", "--trials", "5"],
 ], ids=["import-colorpart", "import-cli", "exact", "quadform"])
 def test_start_loads_no_mpmath(args):
-    proc = fresh_python(*args)
-    assert (proc.returncode, proc.stderr) == (0, "\n")
+    assert loaded_after(MPMATH, *args) == []
+
+
+# dataclasses imports inspect, ast and dis; the exact path needs none of
+# these, nor json and fractions, which load in the functions that use them.
+EXACT_PATH_FREE = ("dataclasses", "inspect", "json", "fractions")
+
+
+@pytest.mark.parametrize("args,modules", [
+    (["import colorpart"], EXACT_PATH_FREE),
+    (["import colorpart.cli"], EXACT_PATH_FREE),
+    ([RUN_CLI, *EXACT_ALL, "--format", "csv"], EXACT_PATH_FREE),
+    ([RUN_CLI, "compare", "--spec", "s=1;l=2", "--n-list", "16,64"], ("dataclasses", "inspect")),
+], ids=["import-colorpart", "import-cli", "exact-csv", "compare"])
+def test_start_loads_no_dataclasses(args, modules):
+    assert loaded_after(modules, *args) == []
 
 
 def cold_and_in_process(capsys, argv):
@@ -99,6 +123,16 @@ def cold_and_in_process(capsys, argv):
 
 def test_quadform_command_from_a_cold_interpreter(capsys):
     argv = ["quadform", "--k", "3", "--trials", "3", "--rng-seed", "0"]
+    in_process, cold = cold_and_in_process(capsys, argv)
+    assert cold == in_process and cold[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["exact", "--spec", "s=1,3;l=2,2", "--n-max", "30", "--format", "json"],
+    ["exact", "--spec-json", '{"s": [1, 2], "l": [1, 3]}', "--n-max", "30", "--method", "euler"],
+], ids=["exact-json", "exact-spec-json"])
+def test_json_command_from_a_cold_interpreter(capsys, argv):
+    # json loads on first use, in the serializer and the spec parser.
     in_process, cold = cold_and_in_process(capsys, argv)
     assert cold == in_process and cold[0] == 0
 

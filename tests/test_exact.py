@@ -395,5 +395,7 @@ class TestExport:
         assert series_to_csv(series) == "n,g\n0,1\n1,2\n2,5\n3,12\n"
 
     def test_bad_leading_coefficient_rejected(self, classical_spec):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="g\\(0\\)=1, got 2"):
             cp.ExactSeries(classical_spec, (2, 1), cp.Method.EULER_PRODUCT)
+        with pytest.raises(ValueError, match="g\\(0\\)=1, got 0"):
+            cp.ExactSeries(spec=classical_spec, coeffs=(0,), method=cp.Method.EULER_PRODUCT)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import mpmath
@@ -189,3 +191,52 @@ class TestEtaWindow:
         window = cp.eta_window(spec)
         assert window.lower == Fraction(3, 4)
         assert window.lower < window.upper <= Fraction(5, 6)
+
+
+# The six value records: (class name, a factory of fresh equal field values,
+# the repr those fields print).
+RECORDS = [
+    ("ColoredSpec", lambda: {"s": (1, 3), "l": (2, 2)}, "ColoredSpec(s=(1, 3), l=(2, 2))"),
+    ("AsymptoticConstants",
+     lambda: {"a": Fraction(8, 3), "d": Fraction(-7, 4), "c": mpmath.mpf("0.5"),
+              "exp_coeff": mpmath.mpf("2.25"), "prec": 53},
+     "AsymptoticConstants(a=Fraction(8, 3), d=Fraction(-7, 4), c=mpf('0.5'), "
+     "exp_coeff=mpf('2.25'), prec=53)"),
+    ("EtaWindow", lambda: {"lower": Fraction(3, 4), "upper": Fraction(5, 6)},
+     "EtaWindow(lower=Fraction(3, 4), upper=Fraction(5, 6))"),
+    ("ExactSeries",
+     lambda: {"spec": cp.validate([1], [1]), "coeffs": (1, 1, 2),
+              "method": cp.Method.EULER_PRODUCT},
+     "ExactSeries(spec=ColoredSpec(s=(1,), l=(1,)), coeffs=(1, 1, 2), "
+     "method=<Method.EULER_PRODUCT: 'euler'>)"),
+    ("ComparisonRow",
+     lambda: {"n": 16, "ln_exact": mpmath.mpf(5), "ln_main": mpmath.mpf("5.25"),
+              "rel_err": mpmath.mpf("0.25")},
+     "ComparisonRow(n=16, ln_exact=mpf('5.0'), ln_main=mpf('5.25'), rel_err=mpf('0.25'))"),
+    ("ExponentFit",
+     lambda: {"slope": -0.5, "intercept": 1.25, "r_squared": 0.99, "n_range": (64, 1024)},
+     "ExponentFit(slope=-0.5, intercept=1.25, r_squared=0.99, n_range=(64, 1024))"),
+]
+
+
+@pytest.mark.parametrize("name,fields,text", RECORDS, ids=[r[0] for r in RECORDS])
+def test_value_record(name, fields, text):
+    cls = getattr(cp, name)
+    rec, twin = cls(**fields()), cls(*fields().values())
+    assert rec == twin and hash(rec) == hash(twin) and not rec != twin
+    assert repr(rec) == text
+    # Never equal to its fields as a tuple, to a subclass with the same
+    # fields, or to another record; each field takes part and is read-only.
+    values = tuple(fields().values())
+    sub = type(name, (cls,), {})(*values)
+    other = next(getattr(cp, n)(**f()) for n, f, _ in RECORDS if n != name)
+    for stranger in (values, sub, other):
+        assert rec != stranger and stranger != rec
+    for key in fields():
+        assert rec != cls(**{**fields(), key: None})
+        with pytest.raises(AttributeError):
+            setattr(rec, key, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, key)
+    for copied in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec), copy.copy(rec)):
+        assert type(copied) is cls and copied == rec and repr(copied) == text
