@@ -18,12 +18,11 @@ eta = Fraction(4, 5)
 window = cp.eta_window(spec)
 print(f"spec {spec}, box exponent eta = {eta} in ({window.lower}, {window.upper})")
 
-ptable = cp.partition_table(400)
 series = cp.g_series_divisor(spec, 400)
 
 print(f"{'n':>5} {'main share':>12} {'tail share':>12}")
 for n in (50, 100, 200, 400):
-    rep = cp.region_split(spec, n, eta, ptable)
+    rep = cp.region_split(spec, n, eta)
     assert rep.main_sum + rep.tail_sum == series[n]  # exact conservation
     tail = rep.tail_fraction()
     print(f"{n:>5} {mpmath.nstr(1 - tail, 8):>12} {mpmath.nstr(tail, 8):>12}")
@@ -33,12 +32,11 @@ print("\nsaddle tuple for n=400:", [str(v) for v in cp.saddle_tuple(spec, 400)])
 # Four colors: the split is a fold over the three free colors, so n in the
 # thousands is in reach.
 spec = cp.parse_text("s=1,3;l=2,2")
-ptable = cp.partition_table(2000)
 series = cp.g_series_divisor(spec, 2000)
 print(f"\nspec {spec}, eta = {eta}")
 print(f"{'n':>5} {'main share':>12} {'tail share':>12}")
 for n in (400, 1000, 2000):
-    rep = cp.region_split(spec, n, eta, ptable)
+    rep = cp.region_split(spec, n, eta)
     assert rep.main_sum + rep.tail_sum == series[n]  # exact conservation
     tail = rep.tail_fraction()
     print(f"{n:>5} {mpmath.nstr(1 - tail, 8):>12} {mpmath.nstr(tail, 8):>12}")

@@ -284,9 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=extra_help)
         _add_spec_args(p)
         _add_common_args(p)
-        p.add_argument("--n-list", default=None, help="comma-separated n values")
-        p.add_argument("--n-geom", default=None, metavar="START:STOP",
-                       help="geometric grid by doubling")
+        ns = p.add_mutually_exclusive_group()
+        ns.add_argument("--n-list", default=None, help="comma-separated n values")
+        ns.add_argument("--n-geom", default=None, metavar="START:STOP",
+                        help="geometric grid by doubling")
         p.add_argument("--budget", type=_budget, default=exact.DEFAULT_FOLD_BUDGET)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         if name == "fit":

@@ -99,14 +99,6 @@ def partition_table(n_max: int) -> ExactSeries:
     return ExactSeries(_PLAIN, tuple(_divide((1,), n_max)), Method.EULER_PRODUCT)
 
 
-def check_partition_table(ptable: ExactSeries, n: int) -> None:
-    """Raise ValueError unless ``ptable`` is p(0..m), spec s=1;l=1, for some m >= n."""
-    if ptable.spec != _PLAIN:
-        raise ValueError(f"partition table must be of spec {_PLAIN}, got {ptable.spec}")
-    if len(ptable) <= n:
-        raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
-
-
 # Blocks of the divisor recurrence at most this long sum their terms directly.
 _DIVISOR_LEAF = 48
 # Colors with fewer terms than this fold by the direct loop in ``_product``.
@@ -289,11 +281,14 @@ def g_via_tuple_convolution(spec: ColoredSpec, n: int, ptable: ExactSeries,
     ``_product`` over ``_free_colors(spec, m)``, at any m >= n; given it,
     only the dot product runs.  Otherwise the whole fold (``_fold``) runs at
     n, unless its estimated step count exceeds ``budget``: then TooLarge.
-    ``ptable`` must pass ``check_partition_table`` (ValueError).
+    ``ptable`` must be p(0..m), spec s=1;l=1, for some m >= n (ValueError).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    check_partition_table(ptable, n)
+    if ptable.spec != _PLAIN:
+        raise ValueError(f"partition table must be of spec {_PLAIN}, got {ptable.spec}")
+    if len(ptable) <= n:
+        raise ValueError(f"partition table covers 0..{len(ptable) - 1}, need {n}")
     p = ptable.coeffs
     if free is None:
         check_fold_budget(zip(spec.s, spec.l), n, budget)

@@ -9,15 +9,14 @@ the sum exactly into the box |u - v| < v**eta (main) and its complement
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
 
-from .exact import (DEFAULT_FOLD_BUDGET, ExactSeries, _fold, _free_colors, check_budget,
-                    check_fold_budget, check_partition_table, partition_table)
+from .exact import (DEFAULT_FOLD_BUDGET, _fold, _free_colors, check_budget, check_fold_budget,
+                    partition_table)
 from .precision import DEFAULT_BITS, working_precision
 from .specs import ColoredSpec, require_eta
 
@@ -60,45 +59,52 @@ def _class_saddles(spec: ColoredSpec, n: int) -> list[Fraction]:
 def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
     """The range lo..hi of u in 0..top with |u - v| < v**eta; ties fall outside.
 
-    For eta = a/b and v = vn/vd the test is the exact integer comparison
-    |u*vd - vn|**b * vd**a < vn**a * vd**b.  The u that pass form one run
-    around v, and it contains floor(v) because 0 < eta < 1 makes
-    v**eta > v - floor(v) for every v > 0, so each end is found by bisection.
+    For eta = a/b and v = vn/vd, u is inside iff its distance |u*vd - vn|
+    has b-th power below vn**a * vd**(b - a).  The u inside form one run
+    that holds floor(v), since v**eta > v - floor(v) for 0 < eta < 1.  A
+    float v -+ v**eta guesses the ends, and two exact tests prove them: the
+    farther end is inside, the nearer point just beyond them is not.  Each
+    failed test moves the end it tested by one.
     """
-    vn, vd = v.numerator, v.denominator
-    scale, bound = vd**eta.numerator, vn**eta.numerator * vd**eta.denominator
+    vn, vd, b = v.numerator, v.denominator, eta.denominator
+    bound = vn**eta.numerator * vd**(b - eta.numerator)
 
-    def inside(u: int) -> bool:
-        return abs(u * vd - vn) ** eta.denominator * scale < bound
+    def dist(u: int) -> int:
+        return abs(u * vd - vn)
 
-    center = vn // vd
-    lo = bisect.bisect_left(range(center + 1), True, key=inside)
-    hi = center - 1 + bisect.bisect_left(range(center, top + 1), True,
-                                         key=lambda u: not inside(u))
-    return lo, hi
+    fv = float(v)
+    w = fv**float(eta)
+    lo, hi = min(vn // vd, max(0, math.ceil(fv - w))), max(vn // vd, min(top, math.floor(fv + w)))
+    while True:
+        far = max((lo, hi), key=dist)
+        if dist(far) ** b >= bound:
+            lo, hi = (lo + 1, hi) if far == lo else (lo, hi - 1)
+            continue
+        near = min((u for u in (lo - 1, hi + 1) if 0 <= u <= top), key=dist, default=None)
+        if near is None or dist(near) ** b >= bound:
+            return lo, hi
+        lo, hi = min(lo, near), max(hi, near)
 
 
 def check_split_budget(spec: ColoredSpec, n: int, eta: Fraction, budget: int) -> None:
     """Raise TooLarge if splitting g(n) at eta takes over ``budget`` steps.
 
-    Beside the fold steps, each end of a free color's box costs about
-    bits(n//s + 1) box tests, whose powers reach B = (a + b) * bits(n * vd)
-    bits for eta = a/b, v = vn/vd; one is counted as (B/64)**1.5 word
-    products, just under Karatsuba's exponent log2(3).  Each modulus counts
-    once, times its free colors (all but the first for s = 1).  The saddle
+    Beside the fold steps, each modulus with a free color costs 3 box
+    tests (``_box`` proves a box with two), whose powers reach
+    B = (a + b) * bits(n * vd) bits for eta = a/b, v = vn/vd; one is counted
+    as (B/64)**1.5 word products, just under Karatsuba's exponent log2(3).
+    The fold counts each modulus once, times its free colors.  The saddle
     values come first, so n < 1 raises their ValueError before any estimate.
     """
     v = _class_saddles(spec, n)
     free = (spec.l[0] - 1, *spec.l[1:])
     check_fold_budget(zip(spec.s, free), n, budget)
-    est = 0
-    for si, li, vi in zip(spec.s, free, v):
-        words = (eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
-        est += li * 2 * (n // si + 1).bit_length() * math.isqrt(words**3)
-    check_budget(est, "box-test steps", budget)
+    words = [(eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
+             for li, vi in zip(free, v) if li]
+    check_budget(sum(3 * math.isqrt(w**3) for w in words), "box-test steps", budget)
 
 
-def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries | None = None,
+def region_split(spec: ColoredSpec, n: int, eta, _ptable=None,
                  budget: int = DEFAULT_FOLD_BUDGET) -> RegionSplitReport:
     """Exactly split the tuple sum for g(n) at box-width exponent eta.
 
@@ -107,25 +113,21 @@ def region_split(spec: ColoredSpec, n: int, eta, ptable: ExactSeries | None = No
     as tail.  u_{1,1} is exempt and absorbs the remainder of the linear
     constraint (s_1 = 1 makes it always integral).  Both the whole sum and
     the main sum are one fold over the free colors, the main one with each
-    color's range cut to its box; the tail is their difference.
+    color's range cut to its modulus's box; the tail is their difference.
 
-    The checks run before any table is built: WindowUndefined or
-    EtaOutOfWindow (from ``require_eta``) for an inadmissible eta, then
-    ValueError for n < 1 (before any estimate), then
-    TooLarge when ``check_split_budget``'s estimate exceeds ``budget``.
-    ``ptable``, p(0..n) or longer, is built by ``partition_table`` when not
-    given; a given one is checked by ``check_partition_table``.
+    The checks run first: WindowUndefined or EtaOutOfWindow (from
+    ``require_eta``) for an inadmissible eta, then ValueError for n < 1
+    (before any estimate), then TooLarge when ``check_split_budget``'s
+    estimate exceeds ``budget``.  Only then is p(0..n) built.  ``_ptable``,
+    the table that callers once passed, is ignored.
     """
     eta = require_eta(spec, eta)
     check_split_budget(spec, n, eta, budget)
     v = saddle_tuple(spec, n)
-    if ptable is None:
-        ptable = partition_table(n)
-    check_partition_table(ptable, n)
-
-    p = ptable.coeffs
+    p = partition_table(n).coeffs
+    free = spec.moduli[1:]
+    boxes = {si: _box(vi, eta, n // si) for si, vi in dict(zip(free, v[1:])).items()}
     total = _fold(n, p, _free_colors(spec, n))
-    main_sum = _fold(n, p, [(si, *_box(vi, eta, n // si))
-                            for si, vi in zip(spec.moduli[1:], v[1:])])
+    main_sum = _fold(n, p, [(si, *boxes[si]) for si in free])
     return RegionSplitReport(spec=spec, n=n, eta=eta, v=tuple(v),
                              main_sum=main_sum, tail_sum=total - main_sum)

@@ -132,11 +132,10 @@ def check_gaussian_integrals() -> tuple[str, bool, str]:
 
 def check_region_decomposition() -> tuple[str, bool, str]:
     spec = specs.validate([1], [2])
-    ptable = exact.partition_table(400)
     series = exact.g_series_divisor(spec, 400)
     fracs = []
     for n in (100, 200, 400):
-        rep = regions.region_split(spec, n, Fraction(4, 5), ptable)
+        rep = regions.region_split(spec, n, Fraction(4, 5))
         if rep.main_sum + rep.tail_sum != series[n]:
             return ("region decomposition", False, f"conservation fails at n={n}")
         fracs.append(rep.tail_fraction())

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -291,6 +292,13 @@ class TestCompareAndFit:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {flag} must be ") and err.endswith(f"got {value!r}\n")
 
+    @pytest.mark.parametrize("command", ["compare", "fit"])
+    def test_n_list_and_n_geom_exclude_each_other(self, capsys, command):
+        code, out, err = run(capsys, command, "--spec", "s=1;l=1", "--n-list", "5,7",
+                             "--n-geom", "8:16")
+        assert (code, out) == (2, "")
+        assert "argument --n-geom: not allowed with argument --n-list" in err
+
     def test_precision_bits_reach_the_table(self, capsys):
         argv = ["compare", "--spec", "s=1;l=1", "--n-list", "16,64", "--format", "json"]
         rows = {bits: json.loads(run(capsys, *argv, "--precision-bits", bits)[1])
@@ -395,8 +403,20 @@ class TestRegions:
         code, out, err = run(capsys, "regions", "--spec", "s=1;l=2", "--n", "100",
                              "--eta", "0.80000001")
         assert (code, out) == (4, "")
-        assert err == ("error: estimated 1222964710828 box-test steps exceeds budget "
+        assert err == ("error: estimated 262063866606 box-test steps exceeds budget "
                        "1000000000\n")
+
+    def test_fine_grained_eta_within_the_budget(self, capsys):
+        import colorpart as cp
+        from test_regions import brute_force_split
+
+        code, out, _ = run(capsys, "regions", "--spec", "s=1;l=2", "--n", "40",
+                           "--eta", "0.80001")
+        assert code == 0
+        spec, eta = cp.validate([1], [2]), Fraction("0.80001")
+        main, tail = brute_force_split(spec, 40, eta, cp.partition_table(40))
+        obj = json.loads(out)
+        assert (int(obj["main_sum"]), int(obj["tail_sum"])) == (main, tail)
 
     @pytest.mark.parametrize("eta", ["1/0", "abc"])
     def test_non_rational_eta_exit_2(self, capsys, eta):

@@ -1,8 +1,10 @@
 import itertools
 import math
+import types
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 import colorpart as cp
 from colorpart import errors, regions
@@ -85,19 +87,79 @@ def brute_force_split(spec, n, eta, ptable):
     return main, tail
 
 
+def scanned_box(v, eta, top):
+    """min and max u in 0..top passing the box test in its cleared-denominator
+    form |u*vd - vn|**b * vd**a < vn**a * vd**b, by scanning every u."""
+    vn, vd, a, b = v.numerator, v.denominator, eta.numerator, eta.denominator
+    inside = [u for u in range(top + 1) if abs(u * vd - vn) ** b * vd**a < vn**a * vd**b]
+    return min(inside), max(inside)
+
+
+def etas(upper=Fraction(5, 6)):
+    """Each eta = a/b strictly inside (3/4, upper) with b <= 60."""
+    return st.sampled_from(sorted({Fraction(a, b) for b in range(1, 61) for a in range(b)
+                                   if Fraction(3, 4) < Fraction(a, b) < upper}))
+
+
+class TestBox:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(min_value=2, max_value=60), max_size=3),
+           st.lists(st.integers(min_value=1, max_value=3), min_size=4, max_size=4),
+           st.integers(min_value=1, max_value=3000), st.data())
+    def test_matches_a_scan(self, moduli, l, n, data):
+        s = [1, *sorted(moduli)]
+        spec = cp.validate(s, [l[0] + 1, *l[1:len(s)]])
+        eta = data.draw(etas(cp.eta_window(spec).upper))
+        for si, vi in zip(spec.s, regions._class_saddles(spec, n)):
+            assert regions._box(vi, eta, n // si) == scanned_box(vi, eta, n // si)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=12),
+           etas(), st.integers(min_value=0, max_value=1500))
+    @example(1, 1, Fraction(4, 5), 1500).via("v = 1")
+    @example(2, 1, Fraction(4, 5), 1500).via("v = 32, box 17..47")
+    @example(3, 2, Fraction(4, 5), 1500).via("v = 243/32")
+    @example(4, 1, Fraction(4, 5), 1500).via("v = 1024")
+    def test_exact_powers(self, r, q, eta, above):
+        # v = (r/q)**b makes v**eta = (r/q)**a exact, so the bound is a b-th power.
+        # top runs from floor(v), where it cuts the box, to past its end.
+        v = Fraction(r, q) ** eta.denominator
+        assume(v <= 1500)
+        top = math.floor(v) + above
+        assert regions._box(v, eta, top) == scanned_box(v, eta, top)
+
+    @pytest.mark.parametrize("shift", [-2, 1])
+    def test_a_guess_off_by_some_steps(self, monkeypatch, shift):
+        # Float rounding can put a guessed end a step inside the box or outside
+        # it, and the proof must move it.  shift > 0 moves both ends inward.
+        monkeypatch.setattr(regions, "math", types.SimpleNamespace(
+            ceil=lambda x: math.ceil(x) + shift, floor=lambda x: math.floor(x) - shift))
+        for v, top in [(Fraction(32), 65), (Fraction(243, 32), 20), (Fraction(1125), 1500),
+                       (Fraction(1125), 1130)]:
+            assert regions._box(v, Fraction(4, 5), top) == scanned_box(v, Fraction(4, 5), top)
+
+    def test_denominators_past_a_float(self):
+        # Moduli 1 and the primes to 47 give v denominators of 61 to 67 bits,
+        # and s = 10**400 one beyond the float range.
+        primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+        for spec, n in [(cp.validate([1, *primes], [2] + [1] * 15), 3000),
+                        (cp.validate([1, 10**400], [2, 1]), 100)]:
+            for si, vi in zip(spec.s, regions._class_saddles(spec, n)):
+                assert regions._box(vi, Fraction(4, 5), n // si) == scanned_box(
+                    vi, Fraction(4, 5), n // si)
+
+
 class TestRegionSplit:
     def test_conservation_small(self):
         spec = cp.validate([1], [2])
-        ptable = cp.partition_table(10)
-        rep = cp.region_split(spec, 10, Fraction(4, 5), ptable)
+        rep = cp.region_split(spec, 10, Fraction(4, 5))
         assert rep.total == cp.g_series_euler(spec, 10)[10]
 
     def test_conservation_exact_at_scale(self):
         spec = cp.validate([1], [2])
-        ptable = cp.partition_table(400)
         series = cp.g_series_divisor(spec, 400)
         for n in (100, 200, 400):
-            rep = cp.region_split(spec, n, Fraction(4, 5), ptable)
+            rep = cp.region_split(spec, n, Fraction(4, 5))
             assert rep.main_sum + rep.tail_sum == series[n]
             assert 0 <= rep.tail_fraction() <= 1
 
@@ -114,13 +176,12 @@ class TestRegionSplit:
         for us in itertools.product(box, repeat=l - 1):
             if sum(us) <= n:
                 main += math.prod(ptable[u] for u in us) * ptable[n - sum(us)]
-        assert cp.region_split(spec, n, eta, ptable).main_sum == main
+        assert cp.region_split(spec, n, eta).main_sum == main
 
     def test_tail_fraction_decreasing(self):
         spec = cp.validate([1], [2])
-        ptable = cp.partition_table(400)
-        f100 = cp.region_split(spec, 100, Fraction(4, 5), ptable).tail_fraction()
-        f400 = cp.region_split(spec, 400, Fraction(4, 5), ptable).tail_fraction()
+        f100 = cp.region_split(spec, 100, Fraction(4, 5)).tail_fraction()
+        f400 = cp.region_split(spec, 400, Fraction(4, 5)).tail_fraction()
         assert f400 < f100
 
     def test_matches_brute_force_classifier(self):
@@ -130,10 +191,9 @@ class TestRegionSplit:
                        (([1], [3]), 120), (([1, 2], [2, 1]), 120), (([1, 3], [2, 2]), 120),
                        (([1, 2, 5], [1, 1, 2]), 90)]:
             spec = cp.validate(*raw)
-            rep = cp.region_split(spec, n, Fraction(4, 5), ptable)
+            rep = cp.region_split(spec, n, Fraction(4, 5))
             main, tail = brute_force_split(spec, n, Fraction(4, 5), ptable)
             assert (rep.main_sum, rep.tail_sum) == (main, tail), (raw, n)
-            assert cp.region_split(spec, n, Fraction(4, 5)) == rep  # builds its own table
 
     def test_exact_tie_is_tail(self):
         # s=1;l=2 at n=64: v = 32 and v**(4/5) = 16 exactly, so u = 16 and u = 48
@@ -144,7 +204,7 @@ class TestRegionSplit:
         assert not in_box(48, Fraction(32), eta) and not in_box(16, Fraction(32), eta)
         assert in_box(47, Fraction(32), eta) and in_box(17, Fraction(32), eta)
         ptable = cp.partition_table(64)
-        rep = cp.region_split(spec, 64, eta, ptable)
+        rep = cp.region_split(spec, 64, eta)
         assert rep.main_sum == sum(ptable[u] * ptable[64 - u] for u in range(17, 48))
 
     def test_saddle_maximality_over_tuples(self):
@@ -155,48 +215,41 @@ class TestRegionSplit:
         for u in enumerate_tuples(spec, n):
             assert sum(math.sqrt(x) for x in u) <= bound + 1e-9
 
-    # Each refusal comes before any table is built, whether or not one is given.
+    # Each refusal comes before the table is built.
     def test_precondition(self, forbid):
-        ptable = cp.partition_table(50)
         forbid("partition_table")
-        for table in (ptable, None):
-            with pytest.raises(errors.WindowUndefined):
-                cp.region_split(cp.validate([1], [1]), 50, Fraction(4, 5), table)
+        with pytest.raises(errors.WindowUndefined):
+            cp.region_split(cp.validate([1], [1]), 50, Fraction(4, 5))
 
     def test_eta_out_of_window(self, forbid):
-        ptable = cp.partition_table(50)
         forbid("partition_table")
-        for table in (ptable, None):
-            with pytest.raises(errors.EtaOutOfWindow):
-                cp.region_split(cp.validate([1], [2]), 50, Fraction(9, 10), table)
+        with pytest.raises(errors.EtaOutOfWindow):
+            cp.region_split(cp.validate([1], [2]), 50, Fraction(9, 10))
 
     def test_box_test_cost_is_budgeted(self):
         spec = cp.validate([1], [2])
-        ptable = cp.partition_table(100)
         # Fraction(0.8) has a 2**52 denominator: the box test's powers would not end.
         with pytest.raises(errors.TooLarge, match="box-test steps"):
-            cp.region_split(spec, 50, 0.8, ptable)
-        rep = cp.region_split(spec, 100, Fraction(8001, 10000), ptable)
+            cp.region_split(spec, 50, 0.8)
+        rep = cp.region_split(spec, 100, Fraction(8001, 10000))
         assert rep.total == cp.g_series_divisor(spec, 100)[100]
 
     def test_budget(self, forbid):
-        spec, ptable = cp.validate([1], [3]), cp.partition_table(200)
         forbid("partition_table")
-        for table in (ptable, None):
-            with pytest.raises(errors.TooLarge):
-                cp.region_split(spec, 200, Fraction(4, 5), table, budget=100)
+        with pytest.raises(errors.TooLarge):
+            cp.region_split(cp.validate([1], [3]), 200, Fraction(4, 5), budget=100)
 
     @pytest.mark.parametrize("eta", [Fraction(4, 5), Fraction("0.80000001")])
     @pytest.mark.parametrize("s,l", [([1], [3]), ([1, 3], [2, 2]), ([1, 2, 5], [1, 3, 2])])
     def test_split_budget_counts_every_free_color(self, s, l, eta):
-        # The fold and box-test estimates summed over the colors but the first.
+        # The fold estimate sums over the colors but the first; the box tests,
+        # 3 per box, over the moduli that have such a color.
         spec, n = cp.validate(s, l), 200
         free = list(zip(spec.moduli, cp.saddle_tuple(spec, n)))[1:]
         fold = sum((n // si + 1) * (n + 1) for si, _ in free)
         words = [(eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
-                 for _, vi in free]
-        box = sum(2 * (n // si + 1).bit_length() * math.isqrt(w**3)
-                  for (si, _), w in zip(free, words))
+                 for vi in dict(free).values()]
+        box = sum(3 * math.isqrt(w**3) for w in words)
         with pytest.raises(errors.TooLarge, match=f"^estimated {fold} fold steps "):
             regions.check_split_budget(spec, n, eta, fold - 1)
         regions.check_split_budget(spec, n, eta, max(fold, box))
@@ -213,7 +266,7 @@ class TestRegionSplit:
     def test_negative_n_refused_before_the_estimate(self, forbid):
         # The fold estimate at n = -10**6 is far over budget; n is checked first.
         forbid("partition_table")
-        for n in (-5, -10**6):
+        for n in (0, -3, -5, -10**6):
             with pytest.raises(ValueError, match="^n must be >= 1$"):
                 cp.region_split(cp.validate([1], [2]), n, Fraction(4, 5))
 
@@ -227,18 +280,3 @@ class TestRegionSplit:
         monkeypatch.setattr(regions, "saddle_tuple", saddle_tuple)
         cp.region_split(cp.validate([1, 3], [2, 2]), 60, Fraction(4, 5))
         assert calls == [60]
-
-    def test_table_must_be_p(self, remark_spec):
-        # The (1,3;2,2) series as p would give main + tail = 16041387552813.
-        spec = cp.validate([1], [3])
-        with pytest.raises(ValueError, match="^partition table must be of spec s=1;l=1"):
-            cp.region_split(spec, 40, Fraction(4, 5), cp.g_series_euler(remark_spec, 40))
-        assert cp.region_split(spec, 40, Fraction(4, 5)).total == 481225800
-
-    def test_short_table_and_bad_n(self):
-        spec = cp.validate([1], [2])
-        with pytest.raises(ValueError, match="^partition table covers 0..49, need 50$"):
-            cp.region_split(spec, 50, Fraction(4, 5), cp.partition_table(49))
-        for n in (0, -3):
-            with pytest.raises(ValueError, match="^n must be >= 1$"):
-                cp.region_split(spec, n, Fraction(4, 5))
