@@ -266,9 +266,19 @@ class TestRegionSplit:
     def test_negative_n_refused_before_the_estimate(self, forbid):
         # The fold estimate at n = -10**6 is far over budget; n is checked first.
         forbid("partition_table")
-        for n in (0, -3, -5, -10**6):
+        for n in (-5, -10**6):
             with pytest.raises(ValueError, match="^n must be >= 1$"):
                 cp.region_split(cp.validate([1], [2]), n, Fraction(4, 5))
+
+    def test_short_table_and_bad_n(self):
+        # A table passed positionally is ignored: p(0..n) is built afresh, so
+        # one that stops short of n no longer matters.
+        spec = cp.validate([1], [2])
+        rep = cp.region_split(spec, 50, Fraction(4, 5), cp.partition_table(49))
+        assert rep.total == cp.g_series_euler(spec, 50)[50]
+        for n in (0, -3):
+            with pytest.raises(ValueError, match="^n must be >= 1$"):
+                cp.region_split(spec, n, Fraction(4, 5))
 
     def test_saddle_tuple_once_per_split(self, monkeypatch):
         calls = []
