@@ -11,53 +11,35 @@ integrals of coupled positive-definite quadratic forms.
 """
 
 import importlib
-import types
-
-from .exact import (
-    ExactSeries,
-    Method,
-    g_series_convolution,
-    g_series_divisor,
-    g_series_euler,
-    g_via_tuple_convolution,
-    partition_table,
-)
-from .precision import working_precision
-from .specs import (
-    AsymptoticConstants,
-    ColoredSpec,
-    EtaWindow,
-    constants,
-    eta_window,
-    parse_json,
-    parse_text,
-    validate,
-)
 
 __version__ = "0.1.0"
 
-# Submodules imported when one of their names is first looked up (PEP 562),
-# with their public names: asymptotic and regions need mpmath and quadform
-# needs numpy, which together take most of a cold start, and the exact
-# series need neither.
-_LAZY = {
+# The public names, each under the submodule that defines it.  A submodule
+# is imported when it or one of its names is first looked up (PEP 562), so
+# ``import colorpart`` loads none: asymptotic and regions need mpmath and
+# quadform needs numpy, which together take most of a cold start, and the
+# exact series need neither.
+_NAMES = {
+    "exact": ("ExactSeries", "g_series_convolution", "g_series_divisor", "g_series_euler",
+              "g_via_tuple_convolution", "partition_table"),
+    "specs": ("AsymptoticConstants", "ColoredSpec", "EtaWindow", "constants", "eta_window",
+              "parse_json", "parse_text", "validate"),
+    "precision": ("working_precision",),
     "asymptotic": ("ComparisonRow", "ExponentFit", "comparison_table", "fit_error_exponent",
                    "geometric_grid", "ln_main_term", "ln_of_bigint"),
     "regions": ("RegionSplitReport", "region_split", "saddle_tuple"),
     "quadform": ("QuadFormSpec", "det_closed_form", "gaussian_integral_monte_carlo",
                  "gaussian_integral_quadrature", "gaussian_quadform_integral",
                  "sum_vs_integral"),
+    "errors": (),
 }
-_LAZY_OWNER = {name: module for module, names in _LAZY.items() for name in names}
-# The public names: everything imported above, and the lazy submodules'.
-__all__ = sorted({name for name, value in globals().items()
-                  if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-                 | set(_LAZY_OWNER))
+_OWNER = {name: module for module, names in _NAMES.items() for name in names}
+__all__ = sorted(_OWNER)
 
 
 def __getattr__(name):
-    module = _LAZY_OWNER.get(name, name)
-    if module in _LAZY:
+    module = _OWNER.get(name, name)
+    if module in _NAMES:
         # Not ``from . import ...``: its hasattr check would call back here.
         owner = importlib.import_module(f".{module}", __name__)
         return owner if name == module else getattr(owner, name)
@@ -65,4 +47,4 @@ def __getattr__(name):
 
 
 def __dir__():
-    return sorted({*globals(), *_LAZY, *_LAZY_OWNER})
+    return sorted({*globals(), *_NAMES, *_OWNER})

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import sys
 
 from . import exact, specs
@@ -41,18 +42,25 @@ def _add_common_args(p: argparse.ArgumentParser) -> None:
                    help="write results to PATH instead of stdout")
 
 
-def _budget(text: str) -> int:
-    """The --budget value: a step count, so a negative one is a usage error.
+def _checked(cast, accept, requirement: str):
+    """An argparse type: ``cast`` the text, and refuse a value ``accept``
+    rejects as a usage error.  A text ``cast`` refuses gets the message
+    argparse gives any ``type=cast`` option."""
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {cast.__name__} value: {text!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {value}")
+        return value
+    return parse
 
-    A non-integer gets the message argparse gives any ``type=int`` option.
-    """
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if budget < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {budget}")
-    return budget
+
+# --budget is a step count.  No slope exceeds nan or inf, so either would make
+# --assert-slope-max an assertion that cannot fail.
+_budget = _checked(int, lambda budget: budget >= 0, ">= 0")
+_finite = _checked(float, math.isfinite, "finite")
 
 
 def _resolve_spec(args) -> specs.ColoredSpec:
@@ -143,9 +151,9 @@ def _tap(args, plan: int, rows) -> int:
 
 def cmd_exact(args) -> int:
     spec = _resolve_spec(args)
-    # Every named engine's estimate is checked before any engine builds
-    # anything.  Engines are looked up on ``exact`` per call.
-    names = ["convolution", "divisor", "euler"] if args.method == "all" else [args.method]
+    # Every named engine's estimate is checked, in name order (convolution's first),
+    # before any engine builds anything.  Engines are looked up on ``exact`` per call.
+    names = sorted(exact.ENGINES) if args.method == "all" else [args.method]
     for name in names:
         exact.check_series_budget(name, spec, args.n_max, args.budget)
     series = {name: getattr(exact, f"g_series_{name}")(spec, args.n_max) for name in names}
@@ -161,7 +169,7 @@ def cmd_exact(args) -> int:
         # exact.series_to_csv stays this table's writer: tests substitute it.
         _write(args, [exact.series_to_csv(shown)])
     else:
-        _emit(args, {"spec": spec, "method": shown.method.value,
+        _emit(args, {"spec": spec, "method": shown.method,
                      "g": [str(g) for g in shown.coeffs]},
               rows=[(g,) for g in shown.coeffs])
     return EXIT_OK
@@ -264,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_spec_args(p)
     _add_common_args(p)
     p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--method", choices=["divisor", "euler", "convolution", "all"],
-                   default="divisor")
+    p.add_argument("--method", choices=[*exact.ENGINES, "all"], default="divisor")
     p.add_argument("--budget", type=_budget, default=exact.DEFAULT_FOLD_BUDGET)
     p.add_argument("--format", choices=["csv", "json", "raw"], default="csv")
     p.set_defaults(func=cmd_exact)
@@ -291,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget", type=_budget, default=exact.DEFAULT_FOLD_BUDGET)
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         if name == "fit":
-            p.add_argument("--assert-slope-max", type=float, default=None,
+            p.add_argument("--assert-slope-max", type=_finite, default=None,
                            help="exit 1 if the fitted slope exceeds this value")
         p.set_defaults(func=func)
 

@@ -21,7 +21,6 @@ the others; the test suite enforces three-way agreement.
 
 from __future__ import annotations
 
-import enum
 from itertools import repeat
 from math import isqrt
 from operator import add, mul
@@ -30,21 +29,19 @@ from .errors import TooLarge
 from .specs import ColoredSpec, _Record, validate
 
 
-class Method(enum.Enum):
-    DIVISOR_RECURRENCE = "divisor"
-    EULER_PRODUCT = "euler"
-    TUPLE_CONVOLUTION = "convolution"
+# One name per engine ``g_series_<name>``: its series' ``method``, and ``exact --method``.
+ENGINES = ("divisor", "euler", "convolution")
 
 
 class ExactSeries(_Record):
-    """Exact coefficient table g(0..N) together with the method that built it."""
+    """Exact coefficient table g(0..N) together with the name of the engine that built it."""
 
     __slots__ = ("spec", "coeffs", "method")
     spec: ColoredSpec
     coeffs: tuple[int, ...]
-    method: Method
+    method: str
 
-    def __init__(self, spec: ColoredSpec, coeffs: tuple[int, ...], method: Method):
+    def __init__(self, spec: ColoredSpec, coeffs: tuple[int, ...], method: str):
         if coeffs and coeffs[0] != 1:
             raise ValueError(f"series must start at g(0)=1, got {coeffs[0]}")
         super().__init__(spec, coeffs, method)
@@ -96,7 +93,7 @@ _PLAIN = validate([1], [1])  # the spec of plain partition counts p(n)
 
 def partition_table(n_max: int) -> ExactSeries:
     """p(0..n_max), the s=1;l=1 series, by pentagonal division."""
-    return ExactSeries(_PLAIN, tuple(_divide((1,), n_max)), Method.EULER_PRODUCT)
+    return ExactSeries(_PLAIN, tuple(_divide((1,), n_max)), "euler")
 
 
 # Blocks of the divisor recurrence at most this long sum their terms directly.
@@ -181,12 +178,12 @@ def g_series_divisor(spec: ColoredSpec, n_max: int) -> ExactSeries:
     g = [0] * (n_max + 1)
     g[0] = 1
     _solve_divisor(divisor_weights(spec, n_max), g, [0] * (n_max + 1), 0, n_max + 1)
-    return ExactSeries(spec=spec, coeffs=tuple(g), method=Method.DIVISOR_RECURRENCE)
+    return ExactSeries(spec=spec, coeffs=tuple(g), method="divisor")
 
 
 def g_series_euler(spec: ColoredSpec, n_max: int) -> ExactSeries:
     """g(0..n_max) by pentagonal division, once per color (see ``_divide``)."""
-    return ExactSeries(spec, tuple(_divide(spec.moduli, n_max)), Method.EULER_PRODUCT)
+    return ExactSeries(spec, tuple(_divide(spec.moduli, n_max)), "euler")
 
 
 DEFAULT_FOLD_BUDGET = 10**9
@@ -210,8 +207,9 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
     Convolution costs its fold at n_max; the divisor recurrence n multiply-adds
     per n, n_max*(n_max + 1)/2 in all.  That count is now an upper bound (most
     of the sums run as ``_kron`` products), kept so that a request is refused
-    at the same n_max as before.  Pentagonal division adds once per pair (j, g) with s*g <= j <= n_max,
-    for each color of modulus s and pentagonal g <= n_max // s.
+    at the same n_max as before.  Pentagonal division adds once per pair (j, g)
+    with s*g <= j <= n_max, for each color of modulus s and pentagonal
+    g <= n_max // s.  Any name outside ``ENGINES`` is a ValueError.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -219,9 +217,11 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
         return check_fold_budget(zip(spec.s, spec.l), n_max, budget)
     if method == "divisor":
         est = n_max * (n_max + 1) // 2
-    else:
+    elif method == "euler":
         est = sum(li * (n_max - si * g + 1) for si, li in zip(spec.s, spec.l)
                   for g, _ in _pentagonal(n_max // si))
+    else:
+        raise ValueError(f"unknown engine {method!r}, expected one of {', '.join(ENGINES)}")
     check_budget(est, f"{method} steps", budget)
 
 
@@ -310,7 +310,7 @@ def g_series_convolution(spec: ColoredSpec, n_max: int) -> ExactSeries:
     free = _product(n_max, ptable.coeffs, _free_colors(spec, n_max))
     coeffs = tuple(g_via_tuple_convolution(spec, n, ptable, free=free)
                    for n in range(n_max + 1))
-    return ExactSeries(spec=spec, coeffs=coeffs, method=Method.TUPLE_CONVOLUTION)
+    return ExactSeries(spec=spec, coeffs=coeffs, method="convolution")
 
 
 def series_to_csv(series: ExactSeries) -> str:

@@ -47,7 +47,7 @@ def check_triple_agreement(seed: int = 2024, n_max: int = 100) -> tuple[str, boo
         for other in (exact.g_series_euler(spec, n_max), exact.g_series_convolution(spec, n_max)):
             if other.coeffs != div.coeffs:
                 return ("triple agreement", False,
-                        f"divisor vs {other.method.value} mismatch for {spec}")
+                        f"divisor vs {other.method} mismatch for {spec}")
     return ("triple agreement", True, f"5 random specs (seed {seed}), n <= {n_max}, 3 methods")
 
 

@@ -226,12 +226,6 @@ class EtaWindow(_Record):
     lower: Fraction
     upper: Fraction
 
-    def contains(self, eta) -> bool:
-        from fractions import Fraction
-
-        eta = Fraction(eta)
-        return self.lower < eta < self.upper
-
 
 def eta_window(spec: ColoredSpec) -> EtaWindow:
     """Admissible eta interval (3/4, min{5/6, (3/4)(L-1)/(L-2)}) for L colors.
@@ -252,15 +246,31 @@ def eta_window(spec: ColoredSpec) -> EtaWindow:
     return EtaWindow(lower=Fraction(3, 4), upper=upper)
 
 
+# CPython's default limit on the digits of an int converted from or to text.
+_MAX_DIGITS = 4300
+
+
 def require_eta(spec: ColoredSpec, eta) -> Fraction:
-    """Check eta, a number or rational string, against the window; return a Fraction."""
+    """Check eta, a number or rational string, against the window; return a Fraction.
+
+    Text that could make an integer past 4300 digits is refused first: Fraction
+    would build 10**exponent however long it took, and no refusal could print it.
+    """
     from fractions import Fraction
 
+    if isinstance(eta, str):
+        mantissa, _, exponent = eta.lower().partition("e")
+        exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
+        # Its digits, its exponent and the 1 of 10**exponent; five exponent digits pass 4300.
+        if exponent.isdecimal() and (sum(map(str.isdecimal, mantissa)) + int(exponent[:5]) + 1
+                                     > _MAX_DIGITS):
+            raise ValueError(f"eta text {eta!r} could name an integer of more than "
+                             f"{_MAX_DIGITS} digits")
     try:
         eta = Fraction(eta)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"eta must be a rational number, got {eta!r}") from None
     window = eta_window(spec)
-    if not window.contains(eta):
+    if not window.lower < eta < window.upper:
         raise EtaOutOfWindow(f"eta={eta} outside ({window.lower}, {window.upper})")
     return eta

@@ -220,6 +220,15 @@ class TestExact:
         assert (code, out) == (3, "")
         assert err == "error: methods disagree at n=4: divisor=5 euler=6 convolution=5\n"
 
+    def test_method_choices_are_the_engines(self, capsys):
+        code, out, _ = run(capsys, "exact", "--help")
+        assert code == 0
+        assert f"--method {{{','.join([*exact.ENGINES, 'all'])}}}" in out
+        # --method all checks convolution's estimate first, the one it refuses on.
+        assert run(capsys, "exact", "--spec", "s=1;l=3", "--n-max", "500", "--method", "all",
+                   "--budget", "125250") == (
+            4, "", "error: estimated 753003 fold steps exceeds budget 125250\n")
+
     def test_output_file(self, capsys, tmp_path):
         path = tmp_path / "series.csv"
         code, out, _ = run(capsys, "exact", "--spec", "s=1;l=1", "--n-max", "5",
@@ -340,6 +349,17 @@ class TestCompareAndFit:
         assert code == 1
         assert "slope" in err
 
+    @pytest.mark.parametrize("value,message", [
+        ("nan", "must be finite, got nan"), ("inf", "must be finite, got inf"),
+        ("-inf", "must be finite, got -inf"), ("x", "invalid float value: 'x'")])
+    def test_non_finite_slope_bound_is_a_usage_error(self, capsys, forbid, value, message):
+        # No slope exceeds nan or inf: the assertion could never fail.
+        forbid("g_series_divisor")
+        code, out, err = run(capsys, "fit", "--spec", "s=1;l=1", "--n-geom", "64:1024",
+                             f"--assert-slope-max={value}")
+        assert (code, out) == (2, "")
+        assert err.endswith(f"colorpart fit: error: argument --assert-slope-max: {message}\n")
+
     def test_fit_too_few_points(self, capsys):
         code, _, _ = run(capsys, "fit", "--spec", "s=1;l=1", "--n-list", "10,20")
         assert code == 2
@@ -422,6 +442,13 @@ class TestRegions:
     def test_non_rational_eta_exit_2(self, capsys, eta):
         assert run(capsys, "regions", "--spec", "s=1;l=2", "--n", "50", "--eta", eta) == (
             2, "", f"error: eta must be a rational number, got {eta!r}\n")
+
+    @pytest.mark.parametrize("eta", ["1e-30000000", "1e-5000", "0.8" + "1" * 5000])
+    def test_eta_past_the_digit_limit_exit_2(self, capsys, forbid, eta):
+        # 1e-30000000 never returned: Fraction built 10**30000000 first.
+        forbid("partition_table")
+        assert run(capsys, "regions", "--spec", "s=1;l=3", "--n", "5", "--eta", eta) == (
+            2, "", f"error: eta text {eta!r} could name an integer of more than 4300 digits\n")
 
     def test_eta_outside_the_window_is_shown_exactly(self, capsys):
         # Rounded to 6 decimals this eta would read as the upper bound itself.

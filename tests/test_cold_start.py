@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import colorpart
-from colorpart import asymptotic, cli, quadform, regions
+from colorpart import asymptotic, cli, exact, precision, quadform, regions, specs
 
 ROOT = Path(__file__).resolve().parent.parent
 HEAVY = ("numpy", "scipy", "colorpart.quadform", "colorpart.selftest")
@@ -23,7 +23,13 @@ MPMATH = ("mpmath", "colorpart.asymptotic", "colorpart.regions")
 QUADFORM_NAMES = ["QuadFormSpec", "det_closed_form", "gaussian_integral_monte_carlo",
                   "gaussian_integral_quadrature", "gaussian_quadform_integral",
                   "sum_vs_integral"]
+# Every public name, under the submodule that defines it.
 LAZY_NAMES = {
+    exact: ["ExactSeries", "g_series_convolution", "g_series_divisor", "g_series_euler",
+            "g_via_tuple_convolution", "partition_table"],
+    specs: ["AsymptoticConstants", "ColoredSpec", "EtaWindow", "constants", "eta_window",
+            "parse_json", "parse_text", "validate"],
+    precision: ["working_precision"],
     asymptotic: ["ComparisonRow", "ExponentFit", "comparison_table", "fit_error_exponent",
                  "geometric_grid", "ln_main_term", "ln_of_bigint"],
     regions: ["RegionSplitReport", "region_split", "saddle_tuple"],
@@ -46,6 +52,17 @@ def test_import_loads_no_numpy(module):
                               f"import colorpart; colorpart.det_closed_form; "
                               f"print('colorpart.quadform' in sys.modules)")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "\nTrue\n", "")
+
+
+def test_import_loads_no_submodule():
+    # Each submodule loads when it, or one of its names, is first looked up.
+    show = "print(sorted(m for m in sys.modules if m.startswith('colorpart.')))"
+    proc = fresh_python("-c", f"import sys, colorpart; {show}; colorpart.errors; {show}; "
+                              f"colorpart.validate; {show}")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [
+        "[]", "['colorpart.errors']",
+        "['colorpart.errors', 'colorpart.precision', 'colorpart.specs']"]
 
 
 NO_SCIPY = """
@@ -150,6 +167,7 @@ def test_mpmath_command_from_a_cold_interpreter(capsys, argv):
 
 class TestLazyReexport:
     def test_every_public_name_resolves(self):
+        assert sorted(sum(LAZY_NAMES.values(), [])) == colorpart.__all__
         for module, names in LAZY_NAMES.items():
             assert set(names) <= set(colorpart.__all__)
             for name in names:

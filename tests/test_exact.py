@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -67,7 +68,7 @@ class TestPartitionTable:
             len(list(enumerate_partitions(n))) for n in range(6)
         ]
         assert list(table.coeffs) == [1, 1, 2, 3, 5, 7]
-        assert table.method is cp.Method.EULER_PRODUCT
+        assert table.method == "euler"
         assert table.spec == cp.validate([1], [1])
 
     def test_n_zero(self):
@@ -217,7 +218,7 @@ class TestTupleConvolution:
 
     def test_series_engine(self, remark_spec):
         series = cp.g_series_convolution(remark_spec, 40)
-        assert (series.spec, series.method) == (remark_spec, cp.Method.TUPLE_CONVOLUTION)
+        assert (series.spec, series.method) == (remark_spec, "convolution")
         assert series.coeffs == cp.g_series_euler(remark_spec, 40).coeffs
 
     def test_series_folds_the_free_colors_once(self, remark_spec, monkeypatch):
@@ -249,6 +250,21 @@ class TestTupleConvolution:
             cp.g_series_divisor(remark_spec, 10)[10])
         with pytest.raises(ValueError, match="covers 0..10, need 11"):
             cp.g_via_tuple_convolution(remark_spec, 11, ptable_2000, free=free)
+
+
+class TestEngineNames:
+    @pytest.mark.parametrize("name", exact.ENGINES)
+    def test_each_series_carries_its_engine_name(self, remark_spec, name):
+        series = getattr(exact, f"g_series_{name}")(remark_spec, 10)
+        assert series.method == name
+
+    @pytest.mark.parametrize("name", ["bogus", "all", "Euler", None])
+    def test_budget_refuses_an_unknown_engine(self, remark_spec, name):
+        # Refused as a name whatever the budget: no engine's estimate stands in.
+        for budget in (0, 10**9):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"unknown engine {name!r}, expected one of divisor, euler, convolution")):
+                exact.check_series_budget(name, remark_spec, 10, budget)
 
 
 class TestCrossMethodAgreement:
@@ -396,6 +412,6 @@ class TestExport:
 
     def test_bad_leading_coefficient_rejected(self, classical_spec):
         with pytest.raises(ValueError, match="g\\(0\\)=1, got 2"):
-            cp.ExactSeries(classical_spec, (2, 1), cp.Method.EULER_PRODUCT)
+            cp.ExactSeries(classical_spec, (2, 1), "euler")
         with pytest.raises(ValueError, match="g\\(0\\)=1, got 0"):
-            cp.ExactSeries(spec=classical_spec, coeffs=(0,), method=cp.Method.EULER_PRODUCT)
+            cp.ExactSeries(spec=classical_spec, coeffs=(0,), method="euler")

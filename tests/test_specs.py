@@ -1,5 +1,6 @@
 import copy
 import pickle
+import time
 from fractions import Fraction
 
 import mpmath
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import colorpart as cp
-from colorpart import cli, errors
+from colorpart import cli, errors, specs
 
 
 def valid_specs():
@@ -193,6 +194,39 @@ class TestEtaWindow:
         assert window.lower < window.upper <= Fraction(5, 6)
 
 
+class TestRequireEta:
+    SPEC = cp.validate([1], [3])
+
+    def test_text_past_the_digit_limit_is_refused_at_once(self):
+        # Fraction would build 10**30000000 before any window check, and its
+        # integers past 4300 digits could not be printed in a refusal.
+        start = time.monotonic()
+        for text in ("1e-4300", ".1e-4299", "1e-0000004300", "0.8" + "1" * 5000,
+                     "4" * 3000 + "/" + "5" * 3000, "1e" + "9" * 6000, "1E+30000000",
+                     "1e-30000000"):
+            with pytest.raises(ValueError, match="^eta text .* could name an integer of "
+                                                 "more than 4300 digits$"):
+                specs.require_eta(self.SPEC, text)
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("text,value", [
+        ("4/5", Fraction(4, 5)), (" 8e-1 ", Fraction(4, 5)), ("0.80001", Fraction(80001, 100000)),
+        ("8e-00001", Fraction(4, 5)), ("0.8" + "0" * 4290, Fraction(4, 5)),
+        ("8" + "0" * 1998 + "1/1" + "0" * 2000, Fraction(8 * 10**1999 + 1, 10**2000)),
+    ], ids=["fraction", "exponent", "decimal", "zero-padded-exponent", "long-decimal",
+            "long-fraction"])
+    def test_text_within_the_limit_keeps_its_value(self, text, value):
+        assert specs.require_eta(self.SPEC, text) == value
+
+    def test_refusals_keep_their_messages(self):
+        with pytest.raises(errors.EtaOutOfWindow, match=f"^eta=1/1{'0' * 4298} outside "
+                                                        r"\(3/4, 5/6\)$"):
+            specs.require_eta(self.SPEC, "1e-4298")
+        for text in ("abc", "1/0", "1e", "1/2e3"):
+            with pytest.raises(ValueError, match=f"^eta must be a rational number, got {text!r}$"):
+                specs.require_eta(self.SPEC, text)
+
+
 # The six value records: (class name, a factory of fresh equal field values,
 # the repr those fields print).
 RECORDS = [
@@ -206,9 +240,8 @@ RECORDS = [
      "EtaWindow(lower=Fraction(3, 4), upper=Fraction(5, 6))"),
     ("ExactSeries",
      lambda: {"spec": cp.validate([1], [1]), "coeffs": (1, 1, 2),
-              "method": cp.Method.EULER_PRODUCT},
-     "ExactSeries(spec=ColoredSpec(s=(1,), l=(1,)), coeffs=(1, 1, 2), "
-     "method=<Method.EULER_PRODUCT: 'euler'>)"),
+              "method": "euler"},
+     "ExactSeries(spec=ColoredSpec(s=(1,), l=(1,)), coeffs=(1, 1, 2), method='euler')"),
     ("ComparisonRow",
      lambda: {"n": 16, "ln_exact": mpmath.mpf(5), "ln_main": mpmath.mpf("5.25"),
               "rel_err": mpmath.mpf("0.25")},
