@@ -9,8 +9,8 @@ class SpecError(ColorpartError, ValueError):
     """Spec text or JSON is malformed, or the (s, l) pair violates an invariant."""
 
 
-class WindowUndefined(ColorpartError):
-    """The eta window requires k + l[0] >= 3."""
+class WindowUndefined(ColorpartError, ValueError):
+    """The eta window requires k + l[0] >= 3: the spec is invalid input for it."""
 
 
 class TooLarge(ColorpartError):

@@ -190,9 +190,14 @@ DEFAULT_FOLD_BUDGET = 10**9
 
 
 def check_budget(est: int, unit: str, budget: int) -> None:
-    """Raise TooLarge when an estimated cost, counted in ``unit``, exceeds ``budget``."""
+    """Raise TooLarge when an estimated cost, counted in ``unit``, exceeds ``budget``.
+
+    An estimate of 2**13288 or more, past 4000 digits and near CPython's
+    4300-digit limit on int-to-text conversion, is shown as ``at least 2**N``.
+    """
     if est > budget:
-        raise TooLarge(f"estimated {est} {unit} exceeds budget {budget}")
+        shown = est if est.bit_length() <= 13288 else f"at least 2**{est.bit_length() - 1}"
+        raise TooLarge(f"estimated {shown} {unit} exceeds budget {budget}")
 
 
 def check_fold_budget(classes, n: int, budget: int) -> None:

@@ -14,28 +14,29 @@ refined about each local maximum, not from a grid.  One column kernel
 (``_closed_dets``) gives the closed-form determinant, for one form in
 ``det_closed_form`` and for each block of ``det_trials`` at once; past the
 float range it goes through ln det.  The Monte Carlo oracle reads one seeded
-PCG64 stream in blocks, split into contiguous runs over up to two threads,
-each from a copy of the state advanced to its first row; the per-block sums
-are added in block order, so its bits do not depend on the CPU count.
+PCG64 stream in blocks, split into up to two contiguous runs by the block
+count alone, each from a copy of the state advanced to its first row; the
+first run stays in the calling thread, the other goes to a standard
+thread pool.  The per-block sums are added in block order, so its bits
+do not depend on the split.  ``QuadFormSpec`` is a ``specs._Record``.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import os
-import threading
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import NonFiniteValue, QuadratureFailure, SumIntegralBoundError
+from .specs import _Record
 
 # Rows per Monte Carlo block: 4096 x 8 doubles (256 KiB) stay in L2.
 _MC_BLOCK = 4096
-# Threads per Monte Carlo call at most.  Measured on 2 cores only, where a
-# third thread ran slower than two.
+# Runs (threads) per Monte Carlo call at most, whatever the CPU count.
+# Measured on 2 cores, where a third thread ran slower than two; on one
+# CPU the two-way split cost 1-4 % against one run.
 _MC_WORKERS = 2
 # Trials per det_trials block: about 0.5 KiB of draws and rows each, 2 MiB in all.
 _DET_BLOCK = 4096
@@ -69,19 +70,20 @@ _TINY = float(np.finfo(float).tiny)
 _LN_MAX = math.log(float(np.finfo(float).max))
 
 
-@dataclass(frozen=True)
-class QuadFormSpec:
+class QuadFormSpec(_Record):
     """Positive coefficients (a0; a1..ak) of the coupled quadratic form."""
 
+    __slots__ = ("a0", "a_rest")
     a0: float
     a_rest: tuple[float, ...]
 
-    def __post_init__(self):
+    def __init__(self, a0: float, a_rest: tuple[float, ...]):
         # NaN fails both comparisons, so it is refused with the infinities.
-        if not all(0 < a < math.inf for a in (self.a0, *self.a_rest)):
+        if not all(0 < a < math.inf for a in (a0, *a_rest)):
             raise ValueError("all quadratic-form coefficients must be positive and finite")
-        if not self.a_rest:
+        if not a_rest:
             raise ValueError("need at least one diagonal coefficient")
+        super().__init__(a0, a_rest)
 
     @property
     def k(self) -> int:
@@ -195,10 +197,8 @@ def det_closed_form(q: QuadFormSpec) -> float:
 
 def random_form(rng: np.random.Generator, k: int, low: float, high: float) -> QuadFormSpec:
     """A k-dimensional form with a0, then a1..ak, drawn uniformly from [low, high)."""
-    return QuadFormSpec(
-        a0=float(rng.uniform(low, high)),
-        a_rest=tuple(float(x) for x in rng.uniform(low, high, size=k)),
-    )
+    a0, *a_rest = rng.uniform(low, high, size=k + 1).tolist()
+    return QuadFormSpec(a0, tuple(a_rest))
 
 
 def det_trials(trials: int, k_max: int, seed: int) -> Iterator[tuple[int, bool, float]]:
@@ -222,8 +222,7 @@ def det_trials(trials: int, k_max: int, seed: int) -> Iterator[tuple[int, bool, 
 
 def _det_blocks(trials: int, k_max: int, rng: np.random.Generator):
     for start in range(0, trials, _DET_BLOCK):
-        # One draw of a0..ak per trial gives random_form's numbers: the same
-        # stream as its scalar a0 followed by its size-k draw.
+        # One draw of a0..ak per trial, as random_form draws them.
         ks: list[int] = []
         by_k: dict[int, list[int]] = {}
         coeffs = []
@@ -331,71 +330,51 @@ def gaussian_integral_monte_carlo(
     """Monte Carlo oracle: (estimate, standard error) over the truncated box.
 
     The draws are those of one ``uniform(-radius, radius, size=(samples, k))``
-    call on ``default_rng(seed)``, taken in ``_MC_BLOCK``-row blocks.  Up to
-    ``_mc_workers`` threads split the blocks into contiguous runs: each
-    takes a copy of the seeded PCG64 state advanced by k outputs per row
-    skipped, since each double of ``random`` uses exactly one output, so
-    together they read the one stream even for ``seed=None``.  The
-    per-block sums are added in block order, so the result has the same
-    bits whatever the number of CPUs.  A Gaussian proposal would need
-    another split: ``standard_normal`` uses a varying number of outputs
-    per draw.  Raises ValueError when ``samples`` is below 2 or
-    ``radius`` is not positive and finite.
+    call on ``default_rng(seed)``, taken in ``_MC_BLOCK``-row blocks.  The
+    blocks are split into min(blocks, ``_MC_WORKERS``) contiguous runs:
+    each takes a copy of the seeded PCG64 state advanced by k outputs per
+    row skipped, since each double of ``random`` uses exactly one output,
+    so together they read the one stream even for ``seed=None``.  The
+    first run stays in the calling thread and the others go to
+    ``ThreadPoolExecutor.map``, which joins its threads and raises a run's
+    error in the caller.  The per-block sums are added in block order, so
+    the result has the same bits however the blocks are split.  A
+    Gaussian proposal would need another split: ``standard_normal`` uses
+    a varying number of outputs per draw.  Raises ValueError when
+    ``samples`` is below 2 or ``radius`` is not positive and finite.
     """
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     if not 0 < radius < math.inf:  # NaN fails both comparisons
         raise ValueError(f"radius must be positive and finite, got {radius}")
+    from concurrent.futures import ThreadPoolExecutor  # here: it loads logging
+
     rng = np.random.default_rng(seed)
     blocks = -(-samples // _MC_BLOCK)
-    workers = _mc_workers(blocks)
-    # Worker w takes the rows [starts[w], starts[w + 1]), whole blocks but the last.
+    workers = min(blocks, _MC_WORKERS)
+    # Run w takes the rows [starts[w], starts[w + 1]), whole blocks but the last.
     starts = [w * blocks // workers * _MC_BLOCK for w in range(workers)] + [samples]
+    rows = [end - start for start, end in zip(starts, starts[1:])]
     gens = [rng]
     for start in starts[1:-1]:  # copied before any draw, so no thread reads a moving state
         bits = np.random.PCG64()
         bits.state = rng.bit_generator.state
         bits.advance(start * q.k)
         gens.append(np.random.Generator(bits))
-    shares: list = [None] * workers
-
-    def run(w):
-        try:
-            shares[w] = _mc_block_sums(q, radius, gens[w], starts[w + 1] - starts[w])
-        except BaseException as exc:  # raised again below, in the caller
-            shares[w] = exc
-
-    threads = []
-    try:
-        for w in range(1, workers):
-            t = threading.Thread(target=run, args=(w,))
-            t.start()
-            threads.append(t)
-        run(0)  # the first share, in the calling thread
-    finally:
-        for t in threads:
-            t.join()
+    with ThreadPoolExecutor(workers) as pool:  # one thread per run after the first
+        rest = pool.map(lambda gen, n: _mc_block_sums(q, radius, gen, n), gens[1:], rows[1:])
+        sums = _mc_block_sums(q, radius, rng, rows[0])  # the first run, in the calling thread
+        for share in rest:  # raises a run's error here
+            sums += share
     total = 0.0
     total_sq = 0.0
-    for share in shares:
-        if isinstance(share, BaseException):
-            raise share
-        for s, s2 in share:
-            total += s
-            total_sq += s2
+    for s, s2 in sums:  # in block order; sum() would compensate from Python 3.12 on
+        total += s
+        total_sq += s2
     mean = total / samples
     var = max(total_sq / samples - mean * mean, 0.0)
     volume = (2 * radius) ** q.k
     return volume * mean, volume * math.sqrt(var / samples)
-
-
-def _mc_workers(blocks: int) -> int:
-    """Threads for ``blocks`` Monte Carlo blocks: at most the CPUs, blocks and _MC_WORKERS."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, blocks, _MC_WORKERS)
 
 
 def _mc_block_sums(q: QuadFormSpec, radius: float, rng: np.random.Generator,

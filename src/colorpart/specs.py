@@ -255,16 +255,20 @@ def require_eta(spec: ColoredSpec, eta) -> Fraction:
 
     Text that could make an integer past 4300 digits is refused first: Fraction
     would build 10**exponent however long it took, and no refusal could print it.
+    A Decimal is held to the same bound through its text, which shows each of
+    its digits and its exponent.
     """
+    from decimal import Decimal  # fractions imports it
     from fractions import Fraction
 
-    if isinstance(eta, str):
-        mantissa, _, exponent = eta.lower().partition("e")
+    if isinstance(eta, (str, Decimal)):
+        mantissa, _, exponent = str(eta).lower().partition("e")
         exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0") or "0"
         # Its digits, its exponent and the 1 of 10**exponent; five exponent digits pass 4300.
         if exponent.isdecimal() and (sum(map(str.isdecimal, mantissa)) + int(exponent[:5]) + 1
                                      > _MAX_DIGITS):
-            raise ValueError(f"eta text {eta!r} could name an integer of more than "
+            kind = "eta text" if isinstance(eta, str) else "eta"
+            raise ValueError(f"{kind} {eta!r} could name an integer of more than "
                              f"{_MAX_DIGITS} digits")
     try:
         eta = Fraction(eta)

@@ -457,9 +457,21 @@ class TestRegions:
             2, "", "error: eta=4166667/5000000 outside (3/4, 5/6)\n")
 
     def test_classical_rejected(self, capsys):
-        code, _, _ = run(capsys, "regions", "--spec", "s=1;l=1",
-                         "--n", "50", "--eta", "4/5")
-        assert code == 1
+        # The spec is invalid input for a region split: exit 2, as for an eta outside the window.
+        for eta in (["--eta", "4/5"], []):
+            assert run(capsys, "regions", "--spec", "s=1;l=1", "--n", "50", *eta) == (
+                2, "", "error: eta window needs k + l[0] >= 3, got k=1, l[0]=1\n")
+
+    def test_estimate_past_4000_digits_is_shown_as_a_power_of_two(self, capsys, forbid):
+        # The box-test estimate has about 4500 digits at this eta, past the
+        # 4300 that str() of an int may print; the limit itself is left alone.
+        forbid("partition_table")
+        limit = sys.get_int_max_str_digits()
+        assert run(capsys, "regions", "--spec", "s=1;l=3", "--n", "5",
+                   "--eta", "0.8" + "0" * 3000 + "1") == (
+            4, "", "error: estimated at least 2**14955 box-test steps exceeds budget "
+                   "1000000000\n")
+        assert sys.get_int_max_str_digits() == limit
 
 
 class TestQuadform:

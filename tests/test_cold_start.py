@@ -1,6 +1,7 @@
 """numpy loads only for the quadform paths, mpmath only for the paths that
 use it, no path loads scipy, the exact path loads no dataclasses, json or
-fractions, and the lazy paths work.
+fractions, the quadform command no dataclasses or thread pool, and the lazy
+paths work.
 
 The cold checks run in a fresh interpreter: the suite's conftest has
 already imported ``selftest`` and with it numpy and mpmath.
@@ -123,7 +124,10 @@ EXACT_PATH_FREE = ("dataclasses", "inspect", "json", "fractions")
     (["import colorpart.cli"], EXACT_PATH_FREE),
     ([RUN_CLI, *EXACT_ALL, "--format", "csv"], EXACT_PATH_FREE),
     ([RUN_CLI, "compare", "--spec", "s=1;l=2", "--n-list", "16,64"], ("dataclasses", "inspect")),
-], ids=["import-colorpart", "import-cli", "exact-csv", "compare"])
+    # The Monte Carlo oracle imports its thread pool, and with it logging, on first use.
+    ([RUN_CLI, "quadform", "--k", "8", "--trials", "20"],
+     ("dataclasses", "concurrent.futures", "logging")),
+], ids=["import-colorpart", "import-cli", "exact-csv", "compare", "quadform"])
 def test_start_loads_no_dataclasses(args, modules):
     assert loaded_after(modules, *args) == []
 

@@ -194,6 +194,16 @@ class TestTupleConvolution:
         with pytest.raises(errors.TooLarge):
             cp.g_via_tuple_convolution(spec, 1000, ptable_2000, budget=100)
 
+    def test_budget_refusal_past_4000_digits_names_a_power_of_two(self):
+        # 2**13288 - 1 has 4001 digits, still printable; 2**13288 and above are not shown.
+        below = 2**13288 - 1
+        with pytest.raises(errors.TooLarge, match=f"^estimated {below} steps exceeds budget 1$"):
+            exact.check_budget(below, "steps", 1)
+        for est, n in ((2**13288, 13288), (2**20000 - 1, 19999)):
+            with pytest.raises(errors.TooLarge,
+                               match=rf"^estimated at least 2\*\*{n} steps exceeds budget 1$"):
+                exact.check_budget(est, "steps", 1)
+
     @pytest.mark.parametrize("s,l", [([1], [3]), ([1, 3], [2, 2]), ([1, 2, 5], [3, 1, 2])])
     def test_fold_budget_counts_every_color(self, s, l):
         # (n//s + 1) * (n + 1) steps per color, counted once per modulus.

@@ -1,6 +1,5 @@
 import inspect
 import math
-import os
 import random
 import sys
 import threading
@@ -252,7 +251,7 @@ class TestGaussianIntegral:
 
     @pytest.mark.parametrize("samples", [2, 4095, 4096, 4097, 3 * 4096 + 1, 10**5 + 3])
     def test_monte_carlo_bits_do_not_depend_on_the_worker_count(self, monkeypatch, samples):
-        # More threads than blocks or cores, and a short switch interval, so
+        # Up to more threads than cores, and a short switch interval, so
         # the threads interleave often.
         rng = np.random.default_rng(12)
         forms = [random_form(rng, k, 0.1, 10) for k in range(1, 9)]
@@ -261,7 +260,7 @@ class TestGaussianIntegral:
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 3, 5):
-                monkeypatch.setattr(quadform, "_mc_workers", lambda blocks, n=workers: n)
+                monkeypatch.setattr(quadform, "_MC_WORKERS", workers)
                 results[workers] = [cp.gaussian_integral_monte_carlo(q, samples, 3.0, seed=k)
                                     for k, q in enumerate(forms)]
         finally:
@@ -273,24 +272,19 @@ class TestGaussianIntegral:
         default_rng = np.random.default_rng
         monkeypatch.setattr(np.random, "default_rng",
                             lambda seed=None: default_rng(5 if seed is None else seed))
-        monkeypatch.setattr(quadform, "_mc_workers", lambda blocks: 2)
+        monkeypatch.setattr(quadform, "_MC_WORKERS", 2)
         q = cp.QuadFormSpec(1.0, (1.0,) * 3)
         assert cp.gaussian_integral_monte_carlo(q, 10**4, 3.0, seed=None) == \
             cp.gaussian_integral_monte_carlo(q, 10**4, 3.0, seed=5)
 
-    def test_monte_carlo_worker_count(self):
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert quadform._mc_workers(1) == 1
-        assert quadform._mc_workers(10**6) == min(cpus, quadform._MC_WORKERS)
-
     def test_monte_carlo_one_block_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
-        monkeypatch.setattr(quadform.threading, "Thread", no_thread)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
         cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,) * 3), quadform._MC_BLOCK)
 
     def test_monte_carlo_joins_its_threads(self, monkeypatch):
-        monkeypatch.setattr(quadform, "_mc_workers", lambda blocks: 3)
+        monkeypatch.setattr(quadform, "_MC_WORKERS", 3)
         before = threading.active_count()
         cp.gaussian_integral_monte_carlo(cp.QuadFormSpec(1.0, (1.0,) * 3), 10**5)
         assert threading.active_count() == before
@@ -302,7 +296,7 @@ class TestGaussianIntegral:
             if threading.current_thread() is not threading.main_thread():
                 raise errors.NonFiniteValue("from a worker")
             return block_sums(*args)
-        monkeypatch.setattr(quadform, "_mc_workers", lambda blocks: 2)
+        monkeypatch.setattr(quadform, "_MC_WORKERS", 2)
         monkeypatch.setattr(quadform, "_mc_block_sums", fails_off_the_calling_thread)
         before = threading.active_count()
         with pytest.raises(errors.NonFiniteValue, match="from a worker"):

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath
@@ -218,6 +219,21 @@ class TestRequireEta:
     def test_text_within_the_limit_keeps_its_value(self, text, value):
         assert specs.require_eta(self.SPEC, text) == value
 
+    def test_decimal_past_the_digit_limit_is_refused_at_once(self):
+        # Decimal("1e-30000000") never returned: Fraction built 5**30000000 first.
+        start = time.monotonic()
+        for text in ("1e-30000000", "1E+30000000", "1e-4300", "0.8" + "1" * 5000):
+            with pytest.raises(ValueError, match=r"^eta Decimal\('.*'\) could name an integer "
+                                                 "of more than 4300 digits$"):
+                specs.require_eta(self.SPEC, Decimal(text))
+        assert time.monotonic() - start < 1
+
+    def test_decimal_within_the_limit_keeps_its_value_and_message(self):
+        for text in ("0.8", "8e-1", "0.80001", "0.8" + "0" * 4290):
+            assert specs.require_eta(self.SPEC, Decimal(text)) == Fraction(text)
+        with pytest.raises(errors.EtaOutOfWindow, match=r"^eta=1/1000 outside \(3/4, 5/6\)$"):
+            specs.require_eta(self.SPEC, Decimal("1e-3"))
+
     def test_refusals_keep_their_messages(self):
         with pytest.raises(errors.EtaOutOfWindow, match=f"^eta=1/1{'0' * 4298} outside "
                                                         r"\(3/4, 5/6\)$"):
@@ -227,7 +243,7 @@ class TestRequireEta:
                 specs.require_eta(self.SPEC, text)
 
 
-# The six value records: (class name, a factory of fresh equal field values,
+# The seven value records: (class name, a factory of fresh equal field values,
 # the repr those fields print).
 RECORDS = [
     ("ColoredSpec", lambda: {"s": (1, 3), "l": (2, 2)}, "ColoredSpec(s=(1, 3), l=(2, 2))"),
@@ -249,7 +265,11 @@ RECORDS = [
     ("ExponentFit",
      lambda: {"slope": -0.5, "intercept": 1.25, "r_squared": 0.99, "n_range": (64, 1024)},
      "ExponentFit(slope=-0.5, intercept=1.25, r_squared=0.99, n_range=(64, 1024))"),
+    ("QuadFormSpec", lambda: {"a0": 0.5, "a_rest": (1.5, 2.0)},
+     "QuadFormSpec(a0=0.5, a_rest=(1.5, 2.0))"),
 ]
+# A changed field value for the records that check theirs; None for the rest.
+CHANGED = {"a0": 4.0, "a_rest": (1.5,)}
 
 
 @pytest.mark.parametrize("name,fields,text", RECORDS, ids=[r[0] for r in RECORDS])
@@ -266,7 +286,7 @@ def test_value_record(name, fields, text):
     for stranger in (values, sub, other):
         assert rec != stranger and stranger != rec
     for key in fields():
-        assert rec != cls(**{**fields(), key: None})
+        assert rec != cls(**{**fields(), key: CHANGED.get(key)})
         with pytest.raises(AttributeError):
             setattr(rec, key, None)
         with pytest.raises(AttributeError):
