@@ -7,10 +7,12 @@ makes the full-space Gaussian integral elementary.  The quadrature oracle
 checks it for k <= 2 over a box taken from the form's conditional
 factorisation, so the truncated mass stays below exp(-64) per coordinate
 however flat or strongly coupled the form; Monte Carlo checks it for larger
-k.  Both the quadrature oracle and ``sum_vs_integral`` run one numpy
-Gauss-Kronrod kernel (``_gk15``), so the module needs numpy only;
-``sum_vs_integral`` takes max|f| from the points it already evaluated,
-refined about each local maximum, not from a grid.  One column kernel
+k.  The quadrature oracle evaluates the integrand once on one fixed
+grid (``_GRID``, the Gauss-Kronrod 7/15 nodes on 8 intervals of the box)
+and estimates its error by the Kronrod-minus-Gauss gap; ``sum_vs_integral``
+alone runs the adaptive numpy kernel (``_gk15``), so the module needs numpy
+only.  ``sum_vs_integral`` takes max|f| from the points it already
+evaluated, refined about each local maximum, not from a grid.  One column kernel
 (``_closed_dets``) gives the closed-form determinant, for one form in
 ``det_closed_form`` and for each block of ``det_trials`` at once; past the
 float range it goes through ln det.  The Monte Carlo oracle reads one seeded
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -65,6 +67,11 @@ _WG = (0.0, 0.129484966168869693270611432679082, 0.0, 0.279705391489276667901467
 _NODES = np.array([-x for x in _XK] + list(_XK[-2::-1]))
 _KRONROD = np.array(_WK + _WK[-2::-1])
 _GAUSS = np.array(_WG + _WG[-2::-1])
+# The quadrature oracle's grid on [-_BOX, _BOX]: the 15 nodes of the rule on
+# each of 8 intervals of width 2, with their Kronrod and Gauss weights.
+_GRID = (np.arange(1 - _BOX, _BOX, 2)[:, None] + _NODES).ravel()
+_GRID_KRONROD = np.tile(_KRONROD, int(_BOX))
+_GRID_GAUSS = np.tile(_GAUSS, int(_BOX))
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _LN_MAX = math.log(float(np.finfo(float).max))
@@ -77,7 +84,8 @@ class QuadFormSpec(_Record):
     a0: float
     a_rest: tuple[float, ...]
 
-    def __init__(self, a0: float, a_rest: tuple[float, ...]):
+    def __init__(self, a0: float, a_rest: Iterable[float]):
+        a_rest = tuple(a_rest)  # a list or an array would leave the record mutable or unhashable
         # NaN fails both comparisons, so it is refused with the infinities.
         if not all(0 < a < math.inf for a in (a0, *a_rest)):
             raise ValueError("all quadratic-form coefficients must be positive and finite")
@@ -99,15 +107,13 @@ class QuadFormSpec(_Record):
 def _gk15_rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """qk15 on the intervals [lo_j, hi_j] with one call of f: (values, errors).
 
-    Values have shape (intervals, *shape of one node's values).  An
-    interval's error is its largest component's, estimated as QUADPACK
-    does: the Kronrod-Gauss difference, sharpened by (200*diff/resasc)**1.5
-    and floored at 50 ulps of the integral of |f|.
+    Each interval's error is estimated as QUADPACK does: the Kronrod-Gauss
+    difference, sharpened by (200*diff/resasc)**1.5 and floored at 50 ulps
+    of the integral of |f|.
     """
     centre, half = (lo + hi) / 2, (hi - lo) / 2
     fx = np.asarray(f((centre[:, None] + half[:, None] * _NODES).ravel()), dtype=float)
-    shape = fx.shape[1:]
-    fx = fx.reshape(len(lo), 15, -1)
+    fx = fx.reshape(len(lo), 15, 1)  # a column of 15 values keeps the bits of each sum
     h = half[:, None]
     with np.errstate(all="ignore"):  # a non-finite f gives a NaN error, not a warning
         kron = _KRONROD @ fx
@@ -119,28 +125,25 @@ def _gk15_rule(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarra
         sharp = resasc * np.minimum(1.0, (200 * diff / resasc) ** 1.5)
         err = np.where((resasc != 0) & (diff != 0), sharp, diff)
         err = np.where(resabs > _TINY / (50 * _EPS), np.maximum(50 * _EPS * resabs, err), err)
-    return resk.reshape(len(lo), *shape), err.max(axis=1)
+    return resk[:, 0], err[:, 0]
 
 
 def _gk15(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-8,
-          limit: int = 50):
+          limit: int = 50) -> tuple[float, float]:
     """Integral of f over [a, b] by adaptive Gauss-Kronrod 7/15: (value, error).
 
-    ``f`` maps a 1-D array of nodes to an array of values, one entry (or
-    row, for a vector-valued integrand) per node, so each step evaluates it
-    once.  Global bisection as in QUADPACK's qage: the interval with the
-    largest error is halved until the summed error is at most
-    max(epsabs, epsrel * |value|), |value| its largest component; both
-    tolerances default to QUADPACK's usual 1.49e-8.  Returns a float for a
-    scalar integrand, else an array shaped like one node's values; the
-    error bounds every component.  Raises QuadratureFailure when ``limit``
+    ``f`` maps a 1-D array of nodes to one value per node, so each step
+    evaluates it once.  Global bisection as in QUADPACK's qage: the
+    interval with the largest error is halved until the summed error is
+    at most max(epsabs, epsrel * |value|); both tolerances default to
+    QUADPACK's usual 1.49e-8.  Raises QuadratureFailure when ``limit``
     subintervals do not meet the tolerance, a non-finite error included.
     """
     val, err = _gk15_rule(f, np.array([a], dtype=float), np.array([b], dtype=float))
     heap = [(-err[0], a, b, val[0])]  # worst interval first
-    total, errsum = val[0].copy(), float(err[0])
+    total, errsum = float(val[0]), float(err[0])
     with np.errstate(invalid="ignore"):  # inf - inf when f is not finite
-        while not errsum <= max(epsabs, epsrel * float(np.abs(total).max())):
+        while not errsum <= max(epsabs, epsrel * abs(total)):
             if len(heap) >= limit:
                 raise QuadratureFailure(
                     f"{limit} subintervals leave error estimate {errsum}, above tolerance")
@@ -151,9 +154,7 @@ def _gk15(f, a: float, b: float, epsabs: float = 1.49e-8, epsrel: float = 1.49e-
             heapq.heappush(heap, (-errs[1], mid, hi, vals[1]))
             total += vals[0] + vals[1] - old
             errsum += float(errs[0] + errs[1]) + neg_err
-    value = np.sum([v for *_, v in heap], axis=0)
-    errsum = math.fsum(-e for e, *_ in heap)
-    return (float(value) if value.ndim == 0 else value), errsum
+    return float(np.sum([v for *_, v in heap])), math.fsum(-e for e, *_ in heap)
 
 
 def _closed_dets(cols: np.ndarray) -> np.ndarray:
@@ -250,7 +251,7 @@ def _judge(closed: np.ndarray, elim: np.ndarray, coeffs) -> tuple[list[bool], li
         rel = np.abs(closed - elim) / np.abs(elim)
     for i in np.flatnonzero(~(np.isfinite(closed) & np.isfinite(elim))).tolist():
         c = coeffs[i].tolist()
-        sign, ln_elim = np.linalg.slogdet(QuadFormSpec(c[0], tuple(c[1:])).matrix())
+        sign, ln_elim = np.linalg.slogdet(QuadFormSpec(c[0], c[1:]).matrix())
         rel[i] = abs(math.expm1(_ln_det(c) - (float(ln_elim) if sign == 1 else math.nan)))
     return (rel < _DET_TOL).tolist(), rel.tolist()
 
@@ -269,18 +270,18 @@ def gaussian_quadform_integral(q: QuadFormSpec) -> float:
 
 
 def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
-    """Adaptive-quadrature oracle for the Gaussian integral, k in {1, 2}.
+    """Fixed-grid quadrature oracle for the Gaussian integral, k in {1, 2}.
 
     The box comes from the form's conditional factorisation: x = t/sqrt(a0 + a1)
     for k = 1; for k = 2, Q = S*x**2 + b*(y + a0*x/b)**2 with b = a0 + a2 and
     S = a1 + a0*a2/b (the Schur complement), so x = t/sqrt(S) and
     y = -a0*x/b + u/sqrt(b).  Q is |(t, u)|^2, so the mass outside the box
     [-8, 8]^k is at most a fraction erfc(8) < exp(-64) of the integral per
-    coordinate, for every form.  The integrand is still
-    exp(-Q(x, y)), times the Jacobian.  For k = 2 the kernel nests: one
-    inner call integrates over u at every outer node of a step at once, and
-    the error adds 16 times the largest inner error to the outer one.
-    Raises QuadratureFailure when the error estimate exceeds 1e-6.
+    coordinate, for every form.  The integrand is still exp(-Q(x, y)),
+    times the Jacobian, taken once on ``_GRID`` (k = 1) or on its tensor
+    square (k = 2).  The value is the Kronrod-weighted sum, and the error
+    estimate its gap to the Gauss-weighted sum of the same values.
+    Raises QuadratureFailure when that estimate exceeds 1e-6, or is NaN.
     """
     # Scaled by 4**-m, the form gives the same integrand values, and the
     # integral 2**(m*k) times larger; both steps are exact.  m is 0 up to
@@ -290,33 +291,22 @@ def gaussian_integral_quadrature(q: QuadFormSpec) -> float:
     if q.k == 1:
         a = a0 + a_rest[0]
         jac = 1 / math.sqrt(a)
-        val, err = _gk15(lambda t: np.exp(-a * (jac * t) ** 2), -_BOX, _BOX, epsabs=1e-9)
+        fx = np.exp(-a * (jac * _GRID) ** 2)
+        val, gauss = float(_GRID_KRONROD @ fx), float(_GRID_GAUSS @ fx)
     elif q.k == 2:
         a1, a2 = a_rest
         b = a0 + a2
         hx, hy = 1 / math.sqrt(a1 + a0 * (a2 / b)), 1 / math.sqrt(b)
-        jac, inner_err = hx * hy, 0.0
-
-        def outer(t):
-            nonlocal inner_err
-            x = hx * t
-            ax, cx = a1 * x * x, -a0 * x / b  # cx: the centre of y given x
-
-            def inner(u):  # one row of y per node u, one column per outer node
-                y = cx + hy * u[:, None]
-                return np.exp(-(a0 * (x + y) ** 2 + ax + a2 * y * y))
-
-            # One shared partition of u for all len(t) integrals, so the limit
-            # is the 50 subintervals each had when integrated on its own.
-            vals, err = _gk15(inner, -_BOX, _BOX, epsabs=1e-9, limit=50 * len(t))
-            inner_err = max(inner_err, err)
-            return vals
-
-        val, err = _gk15(outer, -_BOX, _BOX, epsabs=1e-9)
-        err += 2 * _BOX * inner_err  # each outer node's value is off by <= inner_err
+        jac = hx * hy
+        x = hx * _GRID[:, None]  # one row per node t, one column per node u
+        y = -a0 * x / b + hy * _GRID  # centred on y's conditional mean given x
+        fx = np.exp(-(a0 * (x + y) ** 2 + a1 * x * x + a2 * y * y))
+        val = float(_GRID_KRONROD @ (fx @ _GRID_KRONROD))
+        gauss = float(_GRID_GAUSS @ (fx @ _GRID_GAUSS))
     else:
         raise ValueError("quadrature oracle supports k <= 2; use Monte Carlo above")
-    if err > 1e-6:
+    err = abs(val - gauss)
+    if not err <= 1e-6:
         raise QuadratureFailure(f"quadrature error estimate {err} too large")
     return math.ldexp(val * jac, -m * q.k)
 

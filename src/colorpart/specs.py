@@ -272,7 +272,7 @@ def require_eta(spec: ColoredSpec, eta) -> Fraction:
                              f"{_MAX_DIGITS} digits")
     try:
         eta = Fraction(eta)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):  # overflow: an infinity
         raise ValueError(f"eta must be a rational number, got {eta!r}") from None
     window = eta_window(spec)
     if not window.lower < eta < window.upper:

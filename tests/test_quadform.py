@@ -137,6 +137,18 @@ class TestDetClosedForm:
         with pytest.raises(ValueError):
             cp.QuadFormSpec(0.0, (1.0,))
 
+    @pytest.mark.parametrize("make", [list, np.array, iter], ids=["list", "array", "iterator"])
+    def test_a_rest_is_held_as_a_tuple(self, make):
+        given = make([1.0, 2.0])
+        q, want = cp.QuadFormSpec(1.0, given), cp.QuadFormSpec(1.0, (1.0, 2.0))
+        assert type(q.a_rest) is tuple
+        assert q == want and hash(q) == hash(want)
+        if make is list:
+            given.append(3.0)
+        with pytest.raises(AttributeError):
+            q.a_rest.append(3.0)
+        assert q.k == 2 and q == want
+
     @pytest.mark.parametrize("a0,a_rest", [(1e300, (1e300, 1e300)), (1e-200, (1e-200, 1e-200)),
                                            (1e-160, (1e-160, 1e300)), (1e200, (1e200,)),
                                            (1e200, (1e200, 1e-300, 1e-300))])
@@ -186,6 +198,24 @@ class TestGaussianIntegral:
                 closed = cp.gaussian_quadform_integral(q)
                 quad = cp.gaussian_integral_quadrature(q)
                 assert abs(closed - quad) < 1e-6
+        # The bench's quadrature jobs draw every coefficient from [0.5, 3).
+        for k in (1, 2):
+            for _ in range(20):
+                q = random_form(rng, k, 0.5, 3)
+                assert cp.gaussian_integral_quadrature(q) == pytest.approx(
+                    cp.gaussian_quadform_integral(q), rel=1e-12)
+
+    def test_quadrature_refuses_a_large_error_estimate(self):
+        # On a ridge of width 1e-6 about y = -x, with |x| up to 6e6, x + y
+        # keeps few correct bits: the Kronrod and Gauss sums differ by 1e-5.
+        with pytest.raises(errors.QuadratureFailure, match="^quadrature error estimate "):
+            cp.gaussian_integral_quadrature(cp.QuadFormSpec(1e12, (1e-12, 1e-12)))
+
+    @pytest.mark.parametrize("a_rest", [(1.0,), (1.0, 1.0)])
+    def test_quadrature_refuses_a_nan_estimate(self, monkeypatch, a_rest):
+        monkeypatch.setattr(quadform, "_GRID", np.append(quadform._GRID[:-1], np.nan))
+        with pytest.raises(errors.QuadratureFailure, match="^quadrature error estimate nan "):
+            cp.gaussian_integral_quadrature(cp.QuadFormSpec(1.0, a_rest))
 
     def test_quadrature_exact_on_small_curvature_forms(self):
         # Curvatures near 1e-4, as at the region split's saddle: a fixed
@@ -360,16 +390,6 @@ class TestGaussKronrod:
             assert calls == [15]
             assert val == pytest.approx(anti(hi) - anti(lo), rel=1e-13, abs=1e-13)
             assert err < 1e-12
-
-    def test_vector_integrand_matches_one_call_per_component(self):
-        parts = [lambda x: np.exp(-3 * (x - 1) ** 2), lambda x: np.cos(7 * x) + 1.5,
-                 lambda x: x**2 / (1 + x**2), lambda x: np.sqrt(x + 2.5)]
-        val, err = quadform._gk15(lambda x: np.stack([g(x) for g in parts], axis=1), -2.0, 4.0)
-        assert val.shape == (len(parts),)
-        for got, g in zip(val, parts):
-            want, want_err = quadform._gk15(g, -2.0, 4.0)
-            assert abs(got - want) <= err + want_err
-            assert got == pytest.approx(want, rel=1e-12)
 
     def test_k2_forms_against_mpmath(self):
         # mpmath's tanh-sinh quadrature over the whole plane is independent

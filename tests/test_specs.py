@@ -1,5 +1,7 @@
 import copy
+import math
 import pickle
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -241,6 +243,15 @@ class TestRequireEta:
         for text in ("abc", "1/0", "1e", "1/2e3"):
             with pytest.raises(ValueError, match=f"^eta must be a rational number, got {text!r}$"):
                 specs.require_eta(self.SPEC, text)
+
+    @pytest.mark.parametrize("eta", [math.inf, -math.inf, Decimal("Infinity"),
+                                     Decimal("-Infinity"), math.nan, Decimal("NaN")],
+                             ids=repr)
+    def test_non_finite_numbers_are_not_rational(self, eta):
+        # Fraction raises OverflowError for an infinity and ValueError for NaN.
+        with pytest.raises(ValueError, match=f"^eta must be a rational number, got "
+                                             f"{re.escape(repr(eta))}$"):
+            specs.require_eta(self.SPEC, eta)
 
 
 # The seven value records: (class name, a factory of fresh equal field values,
