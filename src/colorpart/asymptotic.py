@@ -53,12 +53,17 @@ def ln_main_term(
     consts: AsymptoticConstants, n: int, prec: int | None = None
 ) -> mpmath.mpf:
     """ln M(n) = ln c + d*ln n + exp_coeff*sqrt(n), at ``prec`` bits (default: consts.prec)."""
-    if n < 1:
+    return _ln_main_terms(consts, [n], prec if prec is not None else consts.prec)[0]
+
+
+def _ln_main_terms(consts: AsymptoticConstants, ns, prec: int) -> list[mpmath.mpf]:
+    """``ln_main_term`` at each n of ``ns``, with ln c and d taken once at ``prec`` bits."""
+    if any(n < 1 for n in ns):
         raise ValueError("n must be >= 1")
-    bits = prec if prec is not None else consts.prec
-    with working_precision(bits):
+    with working_precision(prec):
+        ln_c = mpmath.log(consts.c)
         d = mpmath.mpf(consts.d.numerator) / consts.d.denominator
-        return +(mpmath.log(consts.c) + d * mpmath.log(n) + consts.exp_coeff * mpmath.sqrt(n))
+        return [+(ln_c + d * mpmath.log(n) + consts.exp_coeff * mpmath.sqrt(n)) for n in ns]
 
 
 def comparison_table(
@@ -85,12 +90,11 @@ def comparison_table(
         raise ValueError(f"series is of spec {series.spec}, not {spec}")
     if len(series) <= ns[-1]:
         raise ValueError(f"series covers 0..{len(series) - 1}, need {ns[-1]}")
-    consts = constants(spec, prec=prec)
+    ln_mains = _ln_main_terms(constants(spec, prec=prec), ns, prec)
     rows = []
     with working_precision(prec):
-        for n in ns:
+        for n, ln_main in zip(ns, ln_mains):
             ln_exact = ln_of_bigint(series[n], prec=prec)
-            ln_main = ln_main_term(consts, n, prec=prec)
             rel_err = +mpmath.expm1(ln_exact - ln_main)
             rows.append(ComparisonRow(n=n, ln_exact=ln_exact, ln_main=ln_main, rel_err=rel_err))
     return rows

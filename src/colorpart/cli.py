@@ -180,7 +180,8 @@ def cmd_asymptotic(args) -> int:
 
     spec = _resolve_spec(args)
     consts = specs.constants(spec, prec=args.precision_bits)
-    ln_main = {n: asymptotic.ln_main_term(consts, n) for n in _parse_ns(args)}
+    ns = _parse_ns(args)
+    ln_main = dict(zip(ns, asymptotic._ln_main_terms(consts, ns, consts.prec)))
     _emit(args, {"spec": spec, "a": consts.a, "d": consts.d, "c": consts.c,
                  "exp_coeff": consts.exp_coeff, "ln_main": ln_main},
           rows=[("a", consts.a), ("d", consts.d), ("c", consts.c),

@@ -63,28 +63,31 @@ def _pentagonal(limit: int) -> list[tuple[int, int]]:
             for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2) if g <= limit]
 
 
-def _divide(moduli, n_max: int) -> list[int]:
-    """Coefficients 0..n_max of the product over ``moduli`` of 1/E(z^s).
+def _divide(classes, n_max: int) -> list[int]:
+    """Coefficients 0..n_max of the product over (s, l) ``classes`` of 1/E(z^s)**l.
 
-    Each color divides in place, c[j] += sum sign * c[j - s*g] over pentagonal
-    s*g <= j, in increasing j so that every c[j - s*g] read is already divided.
+    Each class divides l times in place with one offset list, c[j] += sum sign * c[j - s*g]
+    over pentagonal s*g <= j, in increasing j so that every c[j - s*g] read is already divided.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     c = [0] * (n_max + 1)
     c[0] = 1
-    for s in moduli:
+    for s, l in classes:
+        if s > n_max:  # E(z^s) = 1 below z^s: skip its l passes, which would do nothing
+            continue
         offsets = [(s * g, sign) for g, sign in _pentagonal(n_max // s)]
-        for j in range(s, n_max + 1):
-            acc = c[j]
-            for off, sign in offsets:
-                if off > j:
-                    break
-                if sign > 0:
-                    acc += c[j - off]
-                else:
-                    acc -= c[j - off]
-            c[j] = acc
+        for _ in range(l):
+            for j in range(s, n_max + 1):
+                acc = c[j]
+                for off, sign in offsets:
+                    if off > j:
+                        break
+                    if sign > 0:
+                        acc += c[j - off]
+                    else:
+                        acc -= c[j - off]
+                c[j] = acc
     return c
 
 
@@ -93,7 +96,7 @@ _PLAIN = validate([1], [1])  # the spec of plain partition counts p(n)
 
 def partition_table(n_max: int) -> ExactSeries:
     """p(0..n_max), the s=1;l=1 series, by pentagonal division."""
-    return ExactSeries(_PLAIN, tuple(_divide((1,), n_max)), "euler")
+    return ExactSeries(_PLAIN, tuple(_divide([(1, 1)], n_max)), "euler")
 
 
 # Blocks of the divisor recurrence at most this long sum their terms directly.
@@ -182,8 +185,8 @@ def g_series_divisor(spec: ColoredSpec, n_max: int) -> ExactSeries:
 
 
 def g_series_euler(spec: ColoredSpec, n_max: int) -> ExactSeries:
-    """g(0..n_max) by pentagonal division, once per color (see ``_divide``)."""
-    return ExactSeries(spec, tuple(_divide(spec.moduli, n_max)), "euler")
+    """g(0..n_max) by pentagonal division, once per color of each class (see ``_divide``)."""
+    return ExactSeries(spec, tuple(_divide(zip(spec.s, spec.l), n_max)), "euler")
 
 
 DEFAULT_FOLD_BUDGET = 10**9
@@ -230,51 +233,53 @@ def check_series_budget(method: str, spec: ColoredSpec, n_max: int, budget: int)
     check_budget(est, f"{method} steps", budget)
 
 
-def _product(n: int, p, colors) -> list[int]:
-    """Coefficients 0..n of the product over ``colors`` of sum_u p[u] * z**(s*u).
+def _product(n: int, p, entries) -> list[int]:
+    """Coefficients 0..n of the product over ``entries`` of (sum_u p[u] * z**(s*u))**count.
 
-    ``colors`` holds one range ``(s_i, lo_i, hi_i)`` of u_i per color, in any
-    order.  The colors are folded largest modulus first, so the early arrays
-    stay sparse, each as a stride-s convolution with p: a color of at least
-    ``_KRON_TERMS`` terms as one ``_kron`` product per residue class mod s
-    that holds a nonzero entry, a shorter one by a loop that skips zero
-    entries.  With full ranges ``(s, 0, m // s)`` for some m >= n, the
-    result is the first n + 1 entries of the same product at m: s*u <= t <= n
-    already bounds every u that reaches entry t.
+    ``entries`` holds ``(s, lo, hi, count)``: ``count`` colors of modulus s, each with u in
+    lo..hi, in any order.  They are folded largest modulus first, so the early arrays stay
+    sparse, one color at a time as a stride-s convolution with p: a range of at least
+    ``_KRON_TERMS`` terms as one ``_kron`` product per residue mod s that holds a nonzero
+    entry, a shorter one by a loop that skips zero entries.  With full ranges
+    ``(s, 0, m // s, count)`` for some m >= n, the result is the first n + 1 entries of the
+    same product at m: s*u <= t <= n already bounds every u that reaches entry t.
     """
     acc = [0] * (n + 1)
     acc[0] = 1
-    for s, lo, hi in sorted(colors, reverse=True):
+    for s, lo, hi, count in sorted(entries, reverse=True):
         terms = p[lo:hi + 1]
-        out = [0] * (n + 1)
-        if len(terms) >= _KRON_TERMS:
-            # Entries t = r (mod s) only reach entries = r (mod s): one product per class.
-            for r in range(min(s, n + 1)):
-                row = acc[r::s]
-                if any(row):
-                    out[r + s * lo::s] = _kron(row, terms, 0, len(row) - lo)
-        else:
-            for t, base in enumerate(acc):
-                if base:
-                    for j, pu in zip(range(t + s * lo, n + 1, s), terms):
-                        out[j] += base * pu
-        acc = out
+        for _ in range(count):
+            out = [0] * (n + 1)
+            if len(terms) >= _KRON_TERMS:
+                # Entries t = r (mod s) only reach entries = r (mod s): one product per residue.
+                for r in range(min(s, n + 1)):
+                    row = acc[r::s]
+                    if any(row):
+                        out[r + s * lo::s] = _kron(row, terms, 0, len(row) - lo)
+            else:
+                for t, base in enumerate(acc):
+                    if base:
+                        for j, pu in zip(range(t + s * lo, n + 1, s), terms):
+                            out[j] += base * pu
+            acc = out
     return acc
 
 
-def _fold(n: int, p, colors) -> int:
+def _fold(n: int, p, entries) -> int:
     """Sum of p[u_0] * prod_i p[u_i] over tuples with u_0 + sum_i s_i * u_i = n.
 
-    u_i runs over its color's range in ``colors`` (see ``_product``), and u_0
-    is one more, unrestricted, s = 1 color that closes the sum as one dot
-    product against p.
+    Each u_i runs over its color's range in ``entries`` (see ``_product``),
+    and u_0 is one more, unrestricted, s = 1 color that closes the sum as
+    one dot product against p.
     """
-    return sum(map(mul, _product(n, p, colors), p[n::-1]))
+    return sum(map(mul, _product(n, p, entries), p[n::-1]))
 
 
-def _free_colors(spec: ColoredSpec, n: int) -> list[tuple[int, int, int]]:
-    """Full ranges at n of every color but the first, s = 1 one, which closes the fold."""
-    return [(si, 0, n // si) for si in spec.moduli[1:]]
+def _free_colors(spec: ColoredSpec, n: int) -> list[tuple[int, int, int, int]]:
+    """One full-range entry ``(s, 0, n // s, count)`` at n per class with free colors: every
+    color but the first, s = 1 one, which closes the fold (``_fold``), is free."""
+    counts = (spec.l[0] - 1, *spec.l[1:])
+    return [(si, 0, n // si, li) for si, li in zip(spec.s, counts) if li]
 
 
 def g_via_tuple_convolution(spec: ColoredSpec, n: int, ptable: ExactSeries,

@@ -42,18 +42,18 @@ class RegionSplitReport:
 def saddle_tuple(spec: ColoredSpec, n: int) -> list[Fraction]:
     """The maximizer v_{i,j} = n / (s_i^2 * a) of sum sqrt(u) over the tuple set.
 
-    Exact rationals, one entry per color in spec.moduli order; satisfies
-    sum s_i * v_{i,j} = n exactly.
+    Exact rationals, one entry per color: l[i] copies of class i's value,
+    class by class; satisfies sum s_i * v_{i,j} = n exactly.
     """
-    return [vi for vi, li in zip(_class_saddles(spec, n), spec.l) for _ in range(li)]
+    return [vi for vi, li in zip(_class_saddles(spec, n).values(), spec.l) for _ in range(li)]
 
 
-def _class_saddles(spec: ColoredSpec, n: int) -> list[Fraction]:
+def _class_saddles(spec: ColoredSpec, n: int) -> dict[int, Fraction]:
     """The saddle value n / (s_i^2 * a) of each modulus s_i; ValueError for n < 1."""
     if n < 1:
         raise ValueError("n must be >= 1")
     a = spec.growth_rate()
-    return [Fraction(n) / (si**2 * a) for si in spec.s]
+    return {si: Fraction(n * a.denominator, si**2 * a.numerator) for si in spec.s}
 
 
 def _box(v: Fraction, eta: Fraction, top: int) -> tuple[int, int]:
@@ -97,10 +97,10 @@ def check_split_budget(spec: ColoredSpec, n: int, eta: Fraction, budget: int) ->
     values come first, so n < 1 raises their ValueError before any estimate.
     """
     v = _class_saddles(spec, n)
-    free = (spec.l[0] - 1, *spec.l[1:])
-    check_fold_budget(zip(spec.s, free), n, budget)
-    words = [(eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
-             for li, vi in zip(free, v) if li]
+    free = _free_colors(spec, n)
+    check_fold_budget([(si, li) for si, _, _, li in free], n, budget)
+    words = [(eta.numerator + eta.denominator) * (n * v[si].denominator).bit_length() // 64 + 1
+             for si, *_ in free]
     check_budget(sum(3 * math.isqrt(w**3) for w in words), "box-test steps", budget)
 
 
@@ -113,7 +113,7 @@ def region_split(spec: ColoredSpec, n: int, eta, _ptable=None,
     as tail.  u_{1,1} is exempt and absorbs the remainder of the linear
     constraint (s_1 = 1 makes it always integral).  Both the whole sum and
     the main sum are one fold over the free colors, the main one with each
-    color's range cut to its modulus's box; the tail is their difference.
+    class's range cut to its modulus's box; the tail is their difference.
 
     The checks run first: WindowUndefined or EtaOutOfWindow (from
     ``require_eta``) for an inadmissible eta, then ValueError for n < 1
@@ -123,11 +123,10 @@ def region_split(spec: ColoredSpec, n: int, eta, _ptable=None,
     """
     eta = require_eta(spec, eta)
     check_split_budget(spec, n, eta, budget)
-    v = saddle_tuple(spec, n)
+    v = _class_saddles(spec, n)
     p = partition_table(n).coeffs
-    free = spec.moduli[1:]
-    boxes = {si: _box(vi, eta, n // si) for si, vi in dict(zip(free, v[1:])).items()}
-    total = _fold(n, p, _free_colors(spec, n))
-    main_sum = _fold(n, p, [(si, *boxes[si]) for si in free])
-    return RegionSplitReport(spec=spec, n=n, eta=eta, v=tuple(v),
+    free = _free_colors(spec, n)
+    total = _fold(n, p, free)
+    main_sum = _fold(n, p, [(si, *_box(v[si], eta, hi), li) for si, _, hi, li in free])
+    return RegionSplitReport(spec=spec, n=n, eta=eta, v=tuple(saddle_tuple(spec, n)),
                              main_sum=main_sum, tail_sum=total - main_sum)

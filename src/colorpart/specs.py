@@ -86,11 +86,6 @@ class ColoredSpec(_Record):
 
         return sum((Fraction(li, si) for si, li in zip(self.s, self.l)), Fraction(0))
 
-    @property
-    def moduli(self) -> tuple[int, ...]:
-        """One modulus per color: s[i] repeated l[i] times, in increasing order."""
-        return tuple(si for si, li in zip(self.s, self.l) for _ in range(li))
-
     def to_text(self) -> str:
         return "s={};l={}".format(
             ",".join(map(str, self.s)), ",".join(map(str, self.l))

@@ -1,7 +1,10 @@
+import contextlib
+import tracemalloc
+
 import pytest
 
 import colorpart as cp
-from colorpart import asymptotic, exact, regions, selftest, specs
+from colorpart import asymptotic, exact, regions, selftest
 
 
 @pytest.fixture(scope="session")
@@ -42,8 +45,16 @@ def forbid(monkeypatch):
 
 
 @pytest.fixture
-def no_moduli(monkeypatch):
-    """Fail the test if anything expands a spec to one modulus per color."""
-    def moduli(self):
-        raise AssertionError("ColoredSpec.moduli read")
-    monkeypatch.setattr(specs.ColoredSpec, "moduli", property(moduli))
+def small_peak():
+    """A context manager that fails the test if the memory allocated in its
+    body peaks at 64 KiB or more, as one entry per color would for 10**4 colors."""
+    @contextlib.contextmanager
+    def small_peak():
+        tracemalloc.start()
+        try:
+            yield
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"traced memory peaked at {peak} bytes"
+    return small_peak

@@ -4,7 +4,7 @@ import mpmath
 import pytest
 
 import colorpart as cp
-from colorpart import errors
+from colorpart import cli, errors
 
 
 class TestLnOfBigint:
@@ -69,6 +69,25 @@ class TestLnMainTerm:
     def test_rejects_n_zero(self, classical_spec):
         with pytest.raises(ValueError):
             cp.ln_main_term(cp.constants(classical_spec), 0)
+
+    @pytest.mark.parametrize("command", ["comparison_table", "cli asymptotic"])
+    def test_ln_c_taken_once_per_call(self, remark_spec, monkeypatch, capsys, command):
+        # Each row's ln M(n) is the one ln_main_term gives, with ln c taken once.
+        consts, ns = cp.constants(remark_spec), [10, 20, 40, 80]
+        want = [cp.ln_main_term(consts, n) for n in ns]
+        log, logs_of_c = mpmath.log, []
+
+        def counted(x, *args):
+            logs_of_c.append(x == consts.c)
+            return log(x, *args)
+        monkeypatch.setattr(mpmath, "log", counted)
+        if command == "comparison_table":
+            got = [row.ln_main for row in cp.comparison_table(remark_spec, ns)]
+        else:
+            cli.main(["asymptotic", "--spec", "s=1,3;l=2,2", "--n-list", "10,20,40,80"])
+            lines = capsys.readouterr().out.splitlines()[-4:]
+            got, want = [line.split(",")[1] for line in lines], [cli._text(v) for v in want]
+        assert (got, sum(logs_of_c)) == (want, 1)
 
 
 class TestComparisonTable:

@@ -251,10 +251,13 @@ class TestExact:
         (["exact", "--n-max", "1", "--method", "all"], "80000000 fold steps"),
         (["regions", "--n", "100", "--eta", "0.75000001"], f"{19_999_999 * 101**2} fold steps"),
     ], ids=["euler", "convolution", "all", "regions"])
-    def test_many_colors_refused_without_one_entry_per_color(self, capsys, no_moduli, argv,
+    def test_many_colors_refused_without_one_entry_per_color(self, capsys, small_peak, argv,
                                                              err):
-        assert run(capsys, *argv, "--spec", "s=1;l=20000000", "--budget", "1") == (
-            4, "", f"error: estimated {err} exceeds budget 1\n")
+        # A two-color refusal first loads what the command loads on its first run.
+        assert run(capsys, *argv, "--spec", "s=1;l=2", "--budget", "1")[0] == 4
+        with small_peak():
+            result = run(capsys, *argv, "--spec", "s=1;l=20000000", "--budget", "1")
+        assert result == (4, "", f"error: estimated {err} exceeds budget 1\n")
 
 
 class TestAsymptotic:

@@ -160,20 +160,28 @@ class TestEulerProduct:
         # g running over k(3k - 1)/2 for every nonzero integer k (|k| <= 40
         # reaches past 1000).
         spec = cp.validate(s, l)
+        moduli = [si for si, li in zip(s, l) for _ in range(li)]
         pent = {k * (3 * k - 1) // 2 for k in range(-40, 41) if k}
-        steps = sum(1 for si in spec.moduli for j in range(n_max + 1) for g in pent
-                    if si * g <= j)
+        steps = sum(1 for si in moduli for j in range(n_max + 1) for g in pent if si * g <= j)
         exact.check_series_budget("euler", spec, n_max, steps)
         with pytest.raises(errors.TooLarge, match=f"^estimated {steps} euler steps "):
             exact.check_series_budget("euler", spec, n_max, steps - 1)
 
     @pytest.mark.parametrize("method,steps", [("euler", "20000000 euler"),
                                               ("convolution", "80000000 fold")])
-    def test_many_colors_refused_without_one_entry_per_color(self, no_moduli, method, steps):
+    def test_many_colors_refused_without_one_entry_per_color(self, small_peak, method, steps):
         # 2 * 10**7 colors of modulus 1: one pentagonal step, or 2 * 2 fold steps, each.
         spec = cp.validate([1], [20_000_000])
-        with pytest.raises(errors.TooLarge, match=f"^estimated {steps} steps "):
+        with small_peak(), pytest.raises(errors.TooLarge, match=f"^estimated {steps} steps "):
             exact.check_series_budget(method, spec, 1, 1)
+
+    @pytest.mark.parametrize("engine", [cp.g_series_euler, cp.g_series_convolution])
+    def test_many_colors_run_in_small_memory(self, small_peak, engine):
+        # Each class divides, or folds, its colors in place, one at a time.
+        spec = cp.validate([1], [20_000])
+        with small_peak():
+            series = engine(spec, 1)
+        assert series.coeffs == (1, 20_000)
 
 
 class TestTupleConvolution:
@@ -208,7 +216,7 @@ class TestTupleConvolution:
     def test_fold_budget_counts_every_color(self, s, l):
         # (n//s + 1) * (n + 1) steps per color, counted once per modulus.
         spec, n = cp.validate(s, l), 300
-        steps = sum((n // si + 1) * (n + 1) for si in spec.moduli)
+        steps = sum((n // si + 1) * (n + 1) for si, li in zip(s, l) for _ in range(li))
         exact.check_series_budget("convolution", spec, n, steps)
         with pytest.raises(errors.TooLarge, match=f"^estimated {steps} fold steps "):
             exact.check_series_budget("convolution", spec, n, steps - 1)
@@ -332,7 +340,8 @@ class TestCrossMethodAgreement:
 
 
 def direct_product(n, p, colors):
-    """The free-color product of ``exact._product``, one term at a time."""
+    """The free-color product of ``exact._product``, one (s, lo, hi) color and one term
+    at a time."""
     acc = [1] + [0] * n
     for s, lo, hi in colors:
         out = [0] * (n + 1)
@@ -370,15 +379,20 @@ class TestKronecker:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 300),
-           st.lists(st.tuples(st.integers(1, 9), st.integers(0, 150), st.integers(0, 150)),
-                    min_size=1, max_size=3))
+           st.lists(st.tuples(st.integers(1, 9), st.integers(0, 150), st.integers(0, 150),
+                              st.integers(1, 3)), min_size=1, max_size=3))
+    @example(120, [(2, 0, 60, 2)])
+    @example(300, [(1, 0, 300, 2), (3, 2, 8, 2), (5, 4, 50, 1)])
     def test_product_matches_direct_fold(self, ptable_2000, n, ranges):
         # Ranges with lo > 0 are the region split's boxes; _product picks the
-        # fold order itself, so every order of the colors gives one list.
-        colors = [(s, lo, lo + width) for s, lo, width in ranges]
+        # fold order itself, so every order of the entries gives one list, and
+        # an entry of count c the list of c entries of count 1.
+        entries = [(s, lo, lo + width, count) for s, lo, width, count in ranges]
+        colors = [(s, lo, hi) for s, lo, hi, count in entries for _ in range(count)]
         expected = direct_product(n, ptable_2000.coeffs, colors)
-        for order in itertools.permutations(colors):
+        for order in itertools.permutations(entries):
             assert exact._product(n, ptable_2000.coeffs, list(order)) == expected
+        assert exact._product(n, ptable_2000.coeffs, [(*c, 1) for c in colors]) == expected
 
 
 def convolve(xs, ys, n_max):

@@ -110,7 +110,7 @@ class TestBox:
         s = [1, *sorted(moduli)]
         spec = cp.validate(s, [l[0] + 1, *l[1:len(s)]])
         eta = data.draw(etas(cp.eta_window(spec).upper))
-        for si, vi in zip(spec.s, regions._class_saddles(spec, n)):
+        for si, vi in regions._class_saddles(spec, n).items():
             assert regions._box(vi, eta, n // si) == scanned_box(vi, eta, n // si)
 
     @settings(max_examples=60, deadline=None)
@@ -144,7 +144,7 @@ class TestBox:
         primes = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
         for spec, n in [(cp.validate([1, *primes], [2] + [1] * 15), 3000),
                         (cp.validate([1, 10**400], [2, 1]), 100)]:
-            for si, vi in zip(spec.s, regions._class_saddles(spec, n)):
+            for si, vi in regions._class_saddles(spec, n).items():
                 assert regions._box(vi, Fraction(4, 5), n // si) == scanned_box(
                     vi, Fraction(4, 5), n // si)
 
@@ -245,7 +245,7 @@ class TestRegionSplit:
         # The fold estimate sums over the colors but the first; the box tests,
         # 3 per box, over the moduli that have such a color.
         spec, n = cp.validate(s, l), 200
-        free = list(zip(spec.moduli, cp.saddle_tuple(spec, n)))[1:]
+        free = list(zip(color_moduli(spec), cp.saddle_tuple(spec, n)))[1:]
         fold = sum((n // si + 1) * (n + 1) for si, _ in free)
         words = [(eta.numerator + eta.denominator) * (n * vi.denominator).bit_length() // 64 + 1
                  for vi in dict(free).values()]
@@ -257,10 +257,11 @@ class TestRegionSplit:
             with pytest.raises(errors.TooLarge, match=f"^estimated {box} box-test steps "):
                 regions.check_split_budget(spec, n, eta, box - 1)
 
-    def test_many_colors_refused_without_one_entry_per_color(self, no_moduli):
+    def test_many_colors_refused_without_one_entry_per_color(self, small_peak):
         # 2 * 10**7 - 1 free colors of 101 * 101 fold steps each.
         spec = cp.validate([1], [20_000_000])
-        with pytest.raises(errors.TooLarge, match=f"^estimated {19_999_999 * 101**2} fold steps "):
+        with small_peak(), pytest.raises(errors.TooLarge,
+                                         match=f"^estimated {19_999_999 * 101**2} fold steps "):
             cp.region_split(spec, 100, Fraction(75_000_001, 10**8), budget=1)
 
     def test_negative_n_refused_before_the_estimate(self, forbid):

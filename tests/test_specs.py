@@ -9,10 +9,10 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import colorpart as cp
-from colorpart import cli, errors, specs
+from colorpart import cli, errors, selftest, specs
 
 
 def valid_specs():
@@ -60,10 +60,6 @@ class TestValidate:
     def test_non_integer_entries(self, s, l):
         with pytest.raises(errors.SpecError, match="must be a list of integers"):
             cp.validate(s, l)
-
-    def test_moduli_one_per_color(self):
-        assert cp.validate([1, 3], [2, 2]).moduli == (1, 1, 3, 3)
-        assert cp.validate([1, 2, 5], [1, 3, 1]).moduli == (1, 2, 2, 2, 5)
 
     def test_numpy_integers_accepted(self):
         spec = cp.validate(np.array([1, 3]), [np.int64(2), 2])
@@ -142,6 +138,12 @@ class TestConstants:
         )
         assert cp.constants(spec).a == expected
         assert expected >= 1
+
+    @settings(deadline=None)
+    @given(valid_specs())
+    def test_constants_match_meinardus(self, spec):
+        # c, d and exp_coeff agree with Meinardus' theorem, derived from zeta values.
+        assert selftest.meinardus_gap(spec) < mpmath.mpf(10) ** -60
 
     @given(valid_specs())
     def test_invariant_signs(self, spec):
